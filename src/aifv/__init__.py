@@ -11,10 +11,8 @@ your own, ``encode``/``decode`` to run them, and ``analysis`` for
 compression rates.
 """
 
-from .bitstring import (BitString, DyadicInterval, DyadicRational,
-                        comparable, interval_contains, interval_intersects,
-                        is_prefix, is_strict_prefix, longest_common_prefix,
-                        strip_prefix, to_fraction, to_interval)
+from .bitstring import (BitString, comparable, is_prefix, is_strict_prefix,
+                        longest_common_prefix, strip_prefix)
 from .codec import (DecodeTrace, EncodeResult, decode, encode,
                     encode_without_termination, max_realized_lookahead)
 from .codetree import (CodeTree, CodeTreeSet, ValidationReport, Violation,
@@ -24,8 +22,8 @@ from .errors import (AifvError, AmbiguousMatch, CapExceeded,
                      DepthExceeded, DimensionMismatch, FormatError,
                      IndexOutOfRange, InvalidSet, MemberTooLong, NoMatch,
                      NoConvergence, NormalizationFailed, NotAPrefix,
-                     PrefixMismatch, StructureViolation, SymbolOutOfRange,
-                     Truncated, Unvalidated)
+                     StructureViolation, SymbolOutOfRange, Truncated,
+                     Unvalidated)
 from .transform import (ConventionalTree, VVCodeTable,
                         equivalent_up_to_termination, import_aifv2,
                         import_aifvm, to_basic, vv_to_tree_set)
@@ -39,20 +37,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AifvError", "AmbiguousMatch", "BitString", "CapExceeded", "CodeTree",
     "CodeTreeSet", "ConventionalTree", "DecodeTrace", "DepthExceeded",
-    "DimensionMismatch", "DyadicInterval", "DyadicRational", "EncodeResult",
+    "DimensionMismatch", "EncodeResult",
     "FormatError", "IndexOutOfRange", "InvalidSet", "MemberTooLong",
     "NoConvergence", "NoMatch", "NormalizationFailed", "NotAPrefix",
-    "PrefixMismatch", "StructureViolation", "SymbolOutOfRange", "Truncated",
+    "StructureViolation", "SymbolOutOfRange", "Truncated",
     "Unvalidated", "VVCodeTable", "ValidationReport", "Violation",
     "all_strings", "analysis", "check_delay_budget", "common_prefix",
     "comparable", "decode", "decoding_delay", "encode",
     "encode_without_termination", "enumerate_basic_modes",
     "equivalent_up_to_termination", "examples", "expand",
     "expand_to_fixed_length", "expands", "flatten_expands", "formats",
-    "import_aifv2", "import_aifvm", "in_full_closure", "interval_contains",
-    "interval_intersects", "is_full", "is_prefix", "is_prefix_free",
+    "import_aifv2", "import_aifvm", "in_full_closure",
+    "is_full", "is_prefix", "is_prefix_free",
     "is_strict_prefix", "longest_common_prefix", "max_realized_lookahead",
     "reachable_trees", "reduce", "strip_prefix", "to_basic",
-    "to_basic_mode", "to_fraction", "to_interval", "validate",
+    "to_basic_mode", "validate",
     "vv_to_tree_set",
 ]

@@ -8,7 +8,8 @@ Every bit string w also names the half-open interval of real numbers in
 [0, 1) whose binary expansion starts with w.  Two strings are
 prefix-comparable exactly when their intervals intersect, and w1 is a
 prefix of w2 exactly when the interval of w1 contains the interval of
-w2.  The interval endpoints are dyadic rationals and are kept exact.
+w2.  ``interval`` gives the endpoints exactly, as integers on a common
+scale 2**n.
 """
 
 from __future__ import annotations
@@ -144,96 +145,13 @@ def longest_common_prefix(w1, w2):
     return BitString(a, n)
 
 
-class DyadicRational:
-    """Exact rational numerator / 2**exponent, kept with odd-or-zero numerator."""
+def interval(w, n):
+    """The interval of w on the integer scale 2**n, as (lo, hi).
 
-    __slots__ = ("numerator", "exponent")
-
-    def __init__(self, numerator, exponent):
-        if numerator < 0:
-            raise ValueError("numerator must be non-negative")
-        if numerator == 0:
-            exponent = 0
-        else:
-            while numerator & 1 == 0:
-                numerator >>= 1
-                exponent -= 1
-        self.numerator = numerator
-        self.exponent = exponent
-
-    def _aligned(self, other):
-        e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent),
-                other.numerator << (e - other.exponent))
-
-    def __eq__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self.numerator == other.numerator and \
-            self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.numerator, self.exponent))
-
-    def __lt__(self, other):
-        a, b = self._aligned(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._aligned(other)
-        return a <= b
-
-    def __float__(self):
-        return self.numerator / (1 << self.exponent) if self.exponent >= 0 \
-            else float(self.numerator << -self.exponent)
-
-    def __repr__(self):
-        return f"DyadicRational({self.numerator}, {self.exponent})"
-
-
-class DyadicInterval:
-    """A half-open interval [lo, hi) with exact dyadic endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        if not lo < hi:
-            raise ValueError("interval must be non-empty")
-        self.lo = lo
-        self.hi = hi
-
-    def intersects(self, other):
-        return self.lo < other.hi and other.lo < self.hi
-
-    def contains(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def __eq__(self, other):
-        if not isinstance(other, DyadicInterval):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):
-        return f"DyadicInterval({self.lo!r}, {self.hi!r})"
-
-
-def to_fraction(w):
-    """The value of w read as a binary fraction 0.w, as an exact dyadic."""
-    return DyadicRational(w.value, w.length)
-
-
-def to_interval(w):
-    """The half-open interval of reals whose binary expansion starts with w."""
-    return DyadicInterval(DyadicRational(w.value, w.length),
-                          DyadicRational(w.value + 1, w.length))
-
-
-def interval_intersects(a, b):
-    return a.intersects(b)
-
-
-def interval_contains(outer, inner):
-    return outer.contains(inner)
+    Every real number whose binary expansion starts with w lies in
+    [lo / 2**n, hi / 2**n); n must be at least len(w).  On one common
+    scale, comparability is overlap and the prefix relation is
+    containment of these integer pairs.
+    """
+    shift = n - w.length
+    return w.value << shift, (w.value + 1) << shift

@@ -18,7 +18,7 @@ Expand_k(a) = {Cword_k(a) + q : q in Mode_{Point_k(a)}}:
             every stream the tree can emit.
 
 ``validate`` evaluates both conditions either directly on bit strings
-or through their dyadic-interval images; the two methods agree on
+or through their integer interval images; the two methods agree on
 every input and produce identical reports.
 """
 
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import (EMPTY, comparable, interval_contains,
-                        interval_intersects, is_prefix, sort_key, to_interval)
+from .bitstring import EMPTY, comparable, interval, is_prefix, sort_key
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
 from .wordset import reduce as reduce_words
@@ -197,24 +196,21 @@ def validate(tree_set, method="direct"):
     """Check decodability; the report lists every violation found.
 
     Both methods evaluate the same two conditions.  "direct" compares
-    bit strings; "interval" maps each string to its dyadic interval and
-    uses intersection for comparability and containment for the prefix
-    relation.  The reports are identical either way.
+    bit strings; "interval" maps each tree's strings to their intervals
+    on the scale 2**n of the tree's longest string and uses overlap for
+    comparability and containment for the prefix relation.  The reports
+    are identical either way.
     """
     if method not in VALIDATION_METHODS:
         raise ValueError(f"unknown validation method {method!r}")
     if method == "direct":
-        def crosses(w1, w2):
-            return comparable(w1, w2)
-
-        def covers(q, w):
-            return is_prefix(q, w)
+        crosses, covers = comparable, is_prefix
     else:
-        def crosses(w1, w2):
-            return interval_intersects(to_interval(w1), to_interval(w2))
+        def crosses(i1, i2):
+            return i1[0] < i2[1] and i2[0] < i1[1]
 
-        def covers(q, w):
-            return interval_contains(to_interval(q), to_interval(w))
+        def covers(iq, iw):
+            return iq[0] <= iw[0] and iw[1] <= iq[1]
 
     violations = []
     seen = reachable_trees(tree_set)
@@ -226,11 +222,18 @@ def validate(tree_set, method="direct"):
     for k in range(tree_set.tree_count):
         tree = tree_set.trees[k]
         exp = [sorted(words, key=sort_key) for words in expands(tree_set, k)]
+        mode = sorted(tree.mode, key=sort_key)
+        if method == "direct":
+            keys, mode_keys = exp, mode
+        else:
+            n = max(w.length for words in exp + [mode] for w in words)
+            keys = [[interval(w, n) for w in words] for words in exp]
+            mode_keys = [interval(q, n) for q in mode]
         for a in range(tree.symbol_count):
             for b in range(a + 1, tree.symbol_count):
-                for w1 in exp[a]:
-                    for w2 in exp[b]:
-                        if crosses(w1, w2):
+                for w1, i1 in zip(exp[a], keys[a]):
+                    for w2, i2 in zip(exp[b], keys[b]):
+                        if crosses(i1, i2):
                             na = tree_set.symbol_name(a)
                             nb = tree_set.symbol_name(b)
                             violations.append(Violation(
@@ -239,10 +242,9 @@ def validate(tree_set, method="direct"):
                                 f"tree {k}: expanded codewords "
                                 f"{w1.text()!r} ({na}) and {w2.text()!r} "
                                 f"({nb}) are comparable"))
-        mode = sorted(tree.mode, key=sort_key)
         for a in range(tree.symbol_count):
-            for w in exp[a]:
-                if not any(covers(q, w) for q in mode):
+            for w, iw in zip(exp[a], keys[a]):
+                if not any(covers(iq, iw) for iq in mode_keys):
                     na = tree_set.symbol_name(a)
                     violations.append(Violation(
                         "coverage", k, (na,), (w.text(),),

@@ -79,10 +79,6 @@ class StructureViolation(AifvError):
     """A conventional code tree breaks its structural rules."""
 
 
-class PrefixMismatch(AifvError):
-    """An internal prefix-subtraction step failed during a transform."""
-
-
 class DimensionMismatch(AifvError):
     """Two objects that must share a dimension do not."""
 

@@ -61,6 +61,8 @@ def loads_document(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     return doc
@@ -87,7 +89,7 @@ def parse_tree_set(doc):
             or not doc["trees"]:
         raise FormatError("document needs a non-empty 'trees' list")
     alphabet = doc.get("alphabet")
-    if isinstance(alphabet, int):
+    if isinstance(alphabet, int) and not isinstance(alphabet, bool):
         symbols = None
         count = alphabet
     elif isinstance(alphabet, list) and \

@@ -31,8 +31,7 @@ from .bitstring import (BitString, EMPTY, is_prefix, is_strict_prefix,
                         strip_prefix)
 from .codec import encode
 from .codetree import CodeTree, CodeTreeSet, validate
-from .errors import (DepthExceeded, NormalizationFailed, NotAPrefix,
-                     PrefixMismatch, StructureViolation)
+from .errors import DepthExceeded, NormalizationFailed, StructureViolation
 from .wordset import common_prefix, reduce as reduce_words, to_basic_mode
 
 
@@ -47,21 +46,14 @@ def to_basic(tree_set):
     dropped from the front of every encoding, since it carries no
     information.
     """
-    report = tree_set.ensure_valid()
+    tree_set.ensure_valid()
     heads = [common_prefix(tree.mode) for tree in tree_set.trees]
     new_trees = []
     for k, tree in enumerate(tree_set.trees):
         mode = to_basic_mode(tree.mode)
-        cwords = []
-        for w, point in zip(tree.cwords, tree.points):
-            try:
-                cwords.append(strip_prefix(heads[k], w + heads[point]))
-            except NotAPrefix as exc:
-                # cannot happen once validation passed: coverage forces
-                # every emitted stream to start with the mode's prefix
-                raise PrefixMismatch(
-                    f"tree {k}: codeword {w.text()!r} does not absorb "
-                    f"the mode prefix {heads[k].text()!r}") from exc
+        # coverage makes every stream from tree k start with heads[k]
+        cwords = [strip_prefix(heads[k], w + heads[point])
+                  for w, point in zip(tree.cwords, tree.points)]
         new_trees.append(CodeTree(cwords, tree.points, mode))
     return CodeTreeSet(new_trees, tree_set.symbols, tree_set.tree_names)
 

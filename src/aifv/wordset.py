@@ -56,31 +56,10 @@ def is_prefix_free(words):
     return True
 
 
-def _covered(vlen, vval, lengths, members):
-    # true when some member is a prefix of the node (vlen, vval)
-    for l in lengths:
-        if l > vlen:
-            return False
-        if (l, vval >> (vlen - l)) in members:
-            return True
-    return False
-
-
 def in_full_closure(words, prefix):
     """Membership test for the full-prefix closure of a word set."""
-    ws = _as_set(words)
-    maxlen = max(w.length for w in ws)
-    members = {(w.length, w.value) for w in ws}
-    lengths = sorted({l for l, _ in members})
-
-    def full(vlen, vval):
-        if _covered(vlen, vval, lengths, members):
-            return True
-        if vlen >= maxlen:
-            return False
-        return full(vlen + 1, vval << 1) and full(vlen + 1, (vval << 1) | 1)
-
-    return full(prefix.length, prefix.value)
+    # the closure is exactly the set of extensions of its minimal elements
+    return any(is_prefix(r, prefix) for r in reduce(words))
 
 
 def reduce(words):
@@ -91,30 +70,35 @@ def reduce(words):
     the singleton containing the empty string.
     """
     ws = _as_set(words)
-    maxlen = max(w.length for w in ws)
     members = {(w.length, w.value) for w in ws}
-    lengths = sorted({l for l, _ in members})
+    # nodes are (length, value) pairs; only prefixes of members can be
+    # full without a member above them, so the trie of those prefixes
+    # bounds the work by the total member bits
+    trie = set()
+    for length, value in members:
+        while length >= 0 and (length, value) not in trie:
+            trie.add((length, value))
+            length, value = length - 1, value >> 1
+    # a node is full when it is a member or both children are full;
+    # deepest nodes first, so children are decided before their parent
+    full = set()
+    for length, value in sorted(trie, reverse=True):
+        if (length, value) in members or (
+                (length + 1, value << 1) in full
+                and (length + 1, value << 1 | 1) in full):
+            full.add((length, value))
+    # the topmost full nodes are the minimal elements of the closure
     out = []
-
-    def walk(vlen, vval):
-        # returns True when the node is in the closure; minimal such
-        # nodes are collected because a full node never descends
-        if _covered(vlen, vval, lengths, members):
-            out.append((vlen, vval))
-            return True
-        if vlen >= maxlen:
-            return False
-        mark = len(out)
-        f0 = walk(vlen + 1, vval << 1)
-        f1 = walk(vlen + 1, (vval << 1) | 1)
-        if f0 and f1:
-            del out[mark:]
-            out.append((vlen, vval))
-            return True
-        return False
-
-    walk(0, 0)
-    return frozenset(BitString(v, l) for l, v in out)
+    stack = [(0, 0)]
+    while stack:
+        length, value = node = stack.pop()
+        if node in full:
+            out.append(BitString(value, length))
+            continue
+        for child in ((length + 1, value << 1), (length + 1, value << 1 | 1)):
+            if child in trie:
+                stack.append(child)
+    return frozenset(out)
 
 
 def to_basic_mode(words):

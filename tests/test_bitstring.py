@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from aifv.bitstring import (BitString, DyadicInterval, DyadicRational,
-                            comparable, interval_contains,
-                            interval_intersects, is_prefix, is_strict_prefix,
-                            longest_common_prefix, strip_prefix, to_fraction,
-                            to_interval)
+from aifv.bitstring import (BitString, comparable, interval, is_prefix,
+                            is_strict_prefix, longest_common_prefix,
+                            strip_prefix)
 from aifv.errors import NotAPrefix
 
-from conftest import bits, interval
+from conftest import bits, interval as exact_interval
 
 SEED = 20240811
 
@@ -88,50 +86,14 @@ def test_longest_common_prefix():
     assert longest_common_prefix(bits("01"), bits("0110")) == bits("01")
 
 
-def test_to_fraction_pinned_values():
-    assert to_fraction(bits("")) == DyadicRational(0, 0)
-    assert to_fraction(bits("1")) == DyadicRational(1, 1)
-    assert to_fraction(bits("011")) == DyadicRational(3, 3)
-    assert float(to_fraction(bits("011"))) == 0.375
-
-
-def test_to_interval_pinned_values():
-    assert to_interval(bits("011")) == DyadicInterval(
-        DyadicRational(3, 3), DyadicRational(1, 1))
-    assert float(to_interval(bits("011")).lo) == 0.375
-    assert float(to_interval(bits("011")).hi) == 0.5
-    assert float(to_interval(bits("00")).lo) == 0.0
-    assert float(to_interval(bits("00")).hi) == 0.25
-    whole = to_interval(bits(""))
-    assert float(whole.lo) == 0.0 and float(whole.hi) == 1.0
-
-
-def test_dyadic_normalization_invariant():
-    # the representation keeps the numerator odd or zero
-    assert DyadicRational(2, 4) == DyadicRational(1, 3)
-    assert DyadicRational(4, 2).numerator == 1
-    assert DyadicRational(4, 2).exponent == 0
-    assert DyadicRational(0, 7).exponent == 0
-    rng = random.Random(SEED)
-    for _ in range(500):
-        num = rng.randint(0, 1 << 12)
-        exp = rng.randint(0, 14)
-        d = DyadicRational(num, exp)
-        assert d.numerator == 0 or d.numerator % 2 == 1
-        assert Fraction(d.numerator) / Fraction(2) ** d.exponent \
-            == Fraction(num, 1 << exp)
-
-
-def test_dyadic_comparisons_match_fractions():
-    rng = random.Random(SEED + 1)
-    for _ in range(500):
-        a = DyadicRational(rng.randint(0, 255), rng.randint(0, 8))
-        b = DyadicRational(rng.randint(0, 255), rng.randint(0, 8))
-        fa = Fraction(a.numerator) / Fraction(2) ** a.exponent
-        fb = Fraction(b.numerator) / Fraction(2) ** b.exponent
-        assert (a < b) == (fa < fb)
-        assert (a <= b) == (fa <= fb)
-        assert (a == b) == (fa == fb)
+def test_interval_pinned_values():
+    assert interval(bits("011"), 4) == (6, 8)
+    assert interval(bits("011"), 3) == (3, 4)
+    assert interval(bits("00"), 2) == (0, 1)
+    assert interval(bits(""), 0) == (0, 1)
+    assert interval(bits(""), 3) == (0, 8)
+    with pytest.raises(ValueError):
+        interval(bits("011"), 2)
 
 
 def test_prefix_is_a_partial_order():
@@ -161,13 +123,14 @@ def test_interval_view_agrees_with_prefix_relations():
     rng = random.Random(SEED + 4)
     for _ in range(2000):
         w1, w2 = random_bits(rng, 8), random_bits(rng, 8)
-        i1, i2 = to_interval(w1), to_interval(w2)
-        assert interval_intersects(i1, i2) == comparable(w1, w2)
-        assert interval_contains(i1, i2) == is_prefix(w1, w2)
+        n = max(w1.length, w2.length) + rng.randint(0, 3)
+        (lo1, hi1), (lo2, hi2) = interval(w1, n), interval(w2, n)
+        assert (lo1 < hi2 and lo2 < hi1) == comparable(w1, w2)
+        assert (lo1 <= lo2 and hi2 <= hi1) == is_prefix(w1, w2)
         # cross-check against Fraction arithmetic
-        (lo1, hi1), (lo2, hi2) = interval(w1), interval(w2)
-        assert interval_intersects(i1, i2) == (lo1 < hi2 and lo2 < hi1)
-        assert interval_contains(i1, i2) == (lo1 <= lo2 and hi2 <= hi1)
+        (f1, g1), (f2, g2) = exact_interval(w1), exact_interval(w2)
+        assert (f1, g1) == (Fraction(lo1, 1 << n), Fraction(hi1, 1 << n))
+        assert (f2, g2) == (Fraction(lo2, 1 << n), Fraction(hi2, 1 << n))
 
 
 def test_strip_prefix_inverts_concatenation():

@@ -220,3 +220,10 @@ def test_usage_and_io_failures(capsys, trees_path, tmp_path):
     not_json.write_text("hello\n")
     code, _, err = run(capsys, "validate", str(not_json))
     assert code == 2 and "error:" in err
+
+
+def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "validate", str(deep))
+    assert code == 2 and "nested too deeply" in err

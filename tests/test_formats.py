@@ -87,6 +87,13 @@ def test_document_parse_errors():
     # bools are not bits
     broken(lambda d: d["trees"][0].__setitem__("codewords",
                                                [True, "1"]))
+    # bools are not symbol counts, even where a count of 1 would fit
+    one = {"alphabet": 1,
+           "trees": [{"mode": [""], "codewords": [""], "next": [0]}]}
+    assert parse_tree_set(one).symbol_count == 1
+    for flag in (True, False):
+        with pytest.raises(FormatError):
+            parse_tree_set(dict(one, alphabet=flag))
     with pytest.raises(FormatError):
         loads_document("{not json")
     with pytest.raises(FormatError):

@@ -1,8 +1,10 @@
 """Word-set operations against pinned values and the interval oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
 from aifv.errors import CapExceeded, InvalidSet, MemberTooLong
@@ -11,8 +13,8 @@ from aifv.wordset import (all_strings, common_prefix, enumerate_basic_modes,
                           is_prefix_free, reduce, to_basic_mode)
 from aifv import examples
 
-from conftest import (bits, closure_oracle, random_word_set, reduce_oracle,
-                      texts, words)
+from conftest import (bits, closure_oracle, interval, random_word_set,
+                      reduce_oracle, texts, words)
 
 SEED = 20240812
 
@@ -65,6 +67,57 @@ def test_reduce_against_oracle():
     for _ in range(300):
         ws = random_word_set(rng, max_len=5, max_words=6)
         assert reduce(ws) == reduce_oracle(ws)
+
+
+@st.composite
+def sparse_word_sets(draw, max_len=64):
+    """Few long members, some with siblings that let subtrees fill up."""
+    out = set()
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, max_len))
+        w = BitString(draw(st.integers(0, (1 << n) - 1)), n)
+        out.add(w)
+        # siblings of w's prefixes at levels fill..n make w.prefix(fill - 1)
+        # full; a few more at random levels cover parts of the path
+        fill = draw(st.integers(1, n + 1))
+        levels = set(range(fill, n + 1))
+        levels |= draw(st.sets(st.integers(1, max(n, 1)), max_size=3))
+        for level in levels:
+            if level <= n:
+                p = w.prefix(level)
+                out.add(BitString(p.value ^ 1, level))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 8))
+            out.add(w + BitString(draw(st.integers(0, (1 << k) - 1)), k))
+    return frozenset(out)
+
+
+def union_measure(word_set):
+    total, reach = Fraction(0), Fraction(0)
+    for lo, hi in sorted(interval(w) for w in word_set):
+        lo = max(lo, reach)
+        if hi > lo:
+            total += hi - lo
+            reach = hi
+    return total
+
+
+@settings(deadline=None)
+@given(sparse_word_sets())
+def test_reduce_long_sparse_sets_against_fractions(ws):
+    red = reduce(ws)
+    for r in red:
+        assert closure_oracle(ws, r)
+        if r.length:
+            assert not closure_oracle(ws, r.prefix(r.length - 1))
+    assert sum(Fraction(1, 1 << r.length) for r in red) == union_measure(ws)
+
+
+def test_reduce_deep_member_needs_no_recursion():
+    ws = words("1", "0" * 2000)
+    assert reduce(ws) == ws
+    assert in_full_closure(ws, bits("0" * 2001))
+    assert not in_full_closure(ws, bits("0" * 1999))
 
 
 def test_reduce_is_prefix_free_and_idempotent():
