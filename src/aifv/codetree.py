@@ -17,16 +17,22 @@ Expand_k(a) = {Cword_k(a) + q : q in Mode_{Point_k(a)}}:
             tree's own mode as a prefix, so the mode really describes
             every stream the tree can emit.
 
-``validate`` evaluates both conditions either directly on bit strings
-or through their integer interval images; the two methods agree on
-every input and produce identical reports.
+Both conditions ask which words are prefixes of which.  The interval
+of a bit string is dyadic, so any two such intervals are nested or
+disjoint, and a word's prefixes among a tree's words are exactly the
+entries still open on a stack when the words are swept in interval
+order.  ``validate`` therefore finds every comparable pair in one
+sorted sweep per tree, in O(E log E + violations) for E expanded
+codewords, testing containment either directly on bit strings or
+through their integer interval images; the two methods agree on every
+input and produce identical reports.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import EMPTY, comparable, interval, is_prefix, sort_key
+from .bitstring import EMPTY, interval, is_prefix, sort_key
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
 from .wordset import reduce as reduce_words
@@ -195,22 +201,30 @@ def reachable_trees(tree_set):
 def validate(tree_set, method="direct"):
     """Check decodability; the report lists every violation found.
 
-    Both methods evaluate the same two conditions.  "direct" compares
-    bit strings; "interval" maps each tree's strings to their intervals
-    on the scale 2**n of the tree's longest string and uses overlap for
-    comparability and containment for the prefix relation.  The reports
-    are identical either way.
+    Each tree's mode members and expanded codewords are swept once in
+    order of their intervals (lo, -hi) on the scale 2**n of the tree's
+    longest word, mode members ahead of equal expanded words.  Dyadic
+    intervals are nested or disjoint, so the entries left on a stack
+    that contain the current one are exactly its prefixes: each
+    expanded word of another symbol among them is an overlap, and the
+    current word is covered iff a mode member is among them.  "direct"
+    tests containment with ``is_prefix`` on bit strings, "interval" on
+    the integer pairs; the reports are identical either way.
+
+    Cost per tree is O(E log E + V) for E expanded words and V
+    violations, plus, per word, the depth to which the modes nest.
+    Overlaps come in (symbol, other symbol, word, other word) order,
+    words by ``sort_key``, then coverage failures by (symbol, word).
     """
     if method not in VALIDATION_METHODS:
         raise ValueError(f"unknown validation method {method!r}")
+    # entries are (lo, -hi, symbol or -1 for a mode member, index, word)
     if method == "direct":
-        crosses, covers = comparable, is_prefix
+        def contains(outer, inner):
+            return is_prefix(outer[4], inner[4])
     else:
-        def crosses(i1, i2):
-            return i1[0] < i2[1] and i2[0] < i1[1]
-
-        def covers(iq, iw):
-            return iq[0] <= iw[0] and iw[1] <= iq[1]
+        def contains(outer, inner):
+            return outer[0] <= inner[0] and outer[1] <= inner[1]
 
     violations = []
     seen = reachable_trees(tree_set)
@@ -222,34 +236,54 @@ def validate(tree_set, method="direct"):
     for k in range(tree_set.tree_count):
         tree = tree_set.trees[k]
         exp = [sorted(words, key=sort_key) for words in expands(tree_set, k)]
-        mode = sorted(tree.mode, key=sort_key)
-        if method == "direct":
-            keys, mode_keys = exp, mode
-        else:
-            n = max(w.length for words in exp + [mode] for w in words)
-            keys = [[interval(w, n) for w in words] for words in exp]
-            mode_keys = [interval(q, n) for q in mode]
-        for a in range(tree.symbol_count):
-            for b in range(a + 1, tree.symbol_count):
-                for w1, i1 in zip(exp[a], keys[a]):
-                    for w2, i2 in zip(exp[b], keys[b]):
-                        if crosses(i1, i2):
-                            na = tree_set.symbol_name(a)
-                            nb = tree_set.symbol_name(b)
-                            violations.append(Violation(
-                                "overlap", k, (na, nb),
-                                (w1.text(), w2.text()),
-                                f"tree {k}: expanded codewords "
-                                f"{w1.text()!r} ({na}) and {w2.text()!r} "
-                                f"({nb}) are comparable"))
-        for a in range(tree.symbol_count):
-            for w, iw in zip(exp[a], keys[a]):
-                if not any(covers(iq, iw) for iq in mode_keys):
-                    na = tree_set.symbol_name(a)
-                    violations.append(Violation(
-                        "coverage", k, (na,), (w.text(),),
-                        f"tree {k}: expanded codeword {w.text()!r} ({na}) "
-                        f"has no prefix in the tree's mode"))
+        n = max(w.length for words in exp + [tree.mode] for w in words)
+        entries = []
+        for q in tree.mode:
+            lo, hi = interval(q, n)
+            entries.append((lo, -hi, -1, 0, q))
+        for a, words in enumerate(exp):
+            for i, w in enumerate(words):
+                lo, hi = interval(w, n)
+                entries.append((lo, -hi, a, i, w))
+        # the first four fields are unique, so words are never compared
+        entries.sort()
+        overlaps = []
+        uncovered = []
+        stack = []
+        open_modes = 0
+        for entry in entries:
+            while stack and not contains(stack[-1], entry):
+                if stack.pop()[2] < 0:
+                    open_modes -= 1
+            a, i = entry[2], entry[3]
+            if a < 0:
+                open_modes += 1
+            else:
+                for outer in stack:
+                    b, j = outer[2], outer[3]
+                    if b > a:
+                        overlaps.append((a, b, i, j))
+                    elif 0 <= b < a:
+                        overlaps.append((b, a, j, i))
+                if not open_modes:
+                    uncovered.append((a, i))
+            stack.append(entry)
+        overlaps.sort()
+        for a, b, i, j in overlaps:
+            w1, w2 = exp[a][i].text(), exp[b][j].text()
+            na, nb = tree_set.symbol_name(a), tree_set.symbol_name(b)
+            violations.append(Violation(
+                "overlap", k, (na, nb), (w1, w2),
+                f"tree {k}: expanded codewords {w1!r} ({na}) and "
+                f"{w2!r} ({nb}) are comparable"))
+        uncovered.sort()
+        for a, i in uncovered:
+            w = exp[a][i].text()
+            na = tree_set.symbol_name(a)
+            violations.append(Violation(
+                "coverage", k, (na,), (w,),
+                f"tree {k}: expanded codeword {w!r} ({na}) "
+                f"has no prefix in the tree's mode"))
     report = ValidationReport(method, violations)
     tree_set._reports[method] = report
     return report
@@ -266,10 +300,12 @@ def decoding_delay(tree_set):
     tree_set.ensure_valid()
     worst = 0
     for k in range(tree_set.tree_count):
-        flat = flatten_expands(tree_set, k)
-        for q in tree_set.trees[k].mode:
-            if q.length > worst and any(is_prefix(q, w) for w in flat):
-                worst = q.length
+        mode = tree_set.trees[k].mode
+        lengths = {q.length for q in mode}
+        for w in flatten_expands(tree_set, k):
+            for n in lengths:
+                if worst < n <= w.length and w.prefix(n) in mode:
+                    worst = n
     return worst
 
 

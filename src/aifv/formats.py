@@ -63,6 +63,9 @@ def loads_document(text):
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON document is nested too deeply") from exc
+    except ValueError as exc:
+        # e.g. an integer literal over Python's int string-digit limit
+        raise FormatError(f"unreadable JSON value: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     return doc

@@ -8,7 +8,8 @@ so a bug in the fast paths cannot hide behind itself.
 from fractions import Fraction
 
 from aifv.bitstring import BitString, sort_key
-from aifv.codetree import CodeTree, CodeTreeSet
+from aifv.codetree import (CodeTree, CodeTreeSet, Violation, expands,
+                           reachable_trees)
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
 MODE_POOL = [
@@ -80,6 +81,49 @@ def reduce_oracle(word_set):
 
     walk(BitString())
     return frozenset(out)
+
+
+def validate_oracle(tree_set):
+    """The violations ``validate`` must report, from an all-pairs loop.
+
+    Every pair of expanded words of distinct symbols is compared, and
+    every expanded word against every mode member, on text prefixes;
+    the order is the one ``validate`` promises.
+    """
+    def comparable(t1, t2):
+        return t1.startswith(t2) or t2.startswith(t1)
+
+    violations = []
+    seen = reachable_trees(tree_set)
+    for k in range(tree_set.tree_count):
+        if k not in seen:
+            violations.append(Violation(
+                "unreachable", k, (), (),
+                f"tree {k} cannot be reached from tree 0"))
+    for k in range(tree_set.tree_count):
+        exp = [[w.text() for w in sorted(words, key=sort_key)]
+               for words in expands(tree_set, k)]
+        mode = [q.text() for q in tree_set.trees[k].mode]
+        names = tree_set.symbols
+        for a in range(len(exp)):
+            for b in range(a + 1, len(exp)):
+                for w1 in exp[a]:
+                    for w2 in exp[b]:
+                        if comparable(w1, w2):
+                            violations.append(Violation(
+                                "overlap", k, (names[a], names[b]),
+                                (w1, w2),
+                                f"tree {k}: expanded codewords {w1!r} "
+                                f"({names[a]}) and {w2!r} ({names[b]}) "
+                                f"are comparable"))
+        for a in range(len(exp)):
+            for w in exp[a]:
+                if not any(w.startswith(q) for q in mode):
+                    violations.append(Violation(
+                        "coverage", k, (names[a],), (w,),
+                        f"tree {k}: expanded codeword {w!r} ({names[a]}) "
+                        f"has no prefix in the tree's mode"))
+    return violations
 
 
 def random_valid_tree_set(rng, max_trees=4, max_symbols=3):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -227,3 +228,12 @@ def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000)
     code, _, err = run(capsys, "validate", str(deep))
     assert code == 2 and "nested too deeply" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int string-digit limit")
+def test_oversized_integer_is_a_format_error(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"alphabet": ' + "9" * 5000 + ', "trees": []}')
+    code, _, err = run(capsys, "validate", str(huge))
+    assert code == 2 and "unreadable JSON value" in err

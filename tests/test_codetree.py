@@ -1,10 +1,12 @@
 """Code-tree sets: expansion, validation, delay, fullness."""
 
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from aifv.bitstring import is_prefix, strip_prefix
+from aifv.bitstring import BitString, is_prefix, strip_prefix
 from aifv.codetree import (CodeTree, CodeTreeSet, check_delay_budget,
                            decoding_delay, expand, expands, flatten_expands,
                            is_full, reachable_trees, validate)
@@ -13,7 +15,8 @@ from aifv.errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
 from aifv import examples
 from aifv.codec import encode
 
-from conftest import bits, mutate_tree_set, random_valid_tree_set, texts
+from conftest import (bits, mutate_tree_set, random_valid_tree_set, texts,
+                      validate_oracle)
 
 SEED = 20240813
 
@@ -205,3 +208,70 @@ def test_exactly_one_symbol_matches_each_expansion():
                         if any(is_prefix(q, rest) for q in mode):
                             matched.append(cand)
                     assert matched == [a]
+
+
+@st.composite
+def arbitrary_tree_sets(draw):
+    # short words make duplicates, nested modes and crossings common
+    word = st.text("01", max_size=3).map(bits)
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    trees = [CodeTree(draw(st.lists(word, min_size=m, max_size=m)),
+                      draw(st.lists(st.integers(0, k - 1),
+                                    min_size=m, max_size=m)),
+                      draw(st.frozensets(word, min_size=1, max_size=3)))
+             for _ in range(k)]
+    return CodeTreeSet(trees)
+
+
+def assert_reports_match_oracle(ts):
+    expected = tuple(validate_oracle(ts))
+    assert validate(ts, "direct").violations \
+        == validate(ts, "interval").violations == expected
+
+
+@settings(deadline=None)
+@given(arbitrary_tree_sets())
+# the same expanded word '0' for symbols a and b
+@example(CodeTreeSet([tree([""], [("0", 0), ("0", 0), ("1", 0)])]))
+# a's three expanded words cross two words of b and one of c
+@example(CodeTreeSet([
+    tree([""], [("", 1), ("0", 0), ("1", 0)]),
+    tree(["00", "01", "10"], [("00", 0), ("01", 0), ("10", 0)]),
+]))
+# nested mode members: '' and '01' both open under '011'
+@example(CodeTreeSet([
+    tree(["", "01"], [("0", 1), ("011", 0)]),
+    tree(["", "01"], [("1", 0), ("", 1)]),
+]))
+def test_validate_matches_pair_oracle(ts):
+    assert_reports_match_oracle(ts)
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_validate_and_delay_match_oracles_on_generated_sets(rng):
+    ts = random_valid_tree_set(rng)
+    assert_reports_match_oracle(ts)
+    assert decoding_delay(ts) == max(
+        q.length for k, t in enumerate(ts.trees) for q in t.mode
+        if any(is_prefix(q, w) for w in flatten_expands(ts, k)))
+    assert_reports_match_oracle(mutate_tree_set(rng, ts))
+
+
+def test_validate_scales_to_large_trees():
+    # the all-pairs loop needs seconds on the 4096-leaf tree alone
+    leaves12 = [BitString(v, 12) for v in range(4096)]
+    leaves10 = [BitString(v, 10) for v in range(1024)]
+    alternate = [a % 2 for a in range(1024)]
+    sets = [
+        CodeTreeSet([CodeTree(leaves12, [0] * 4096, [bits("")])]),
+        CodeTreeSet([CodeTree(leaves10, alternate, [bits("")]),
+                     CodeTree(leaves10, alternate, [bits("0"), bits("1")])]),
+    ]
+    start = time.perf_counter()
+    reports = [validate(ts, method) for ts in sets
+               for method in ("direct", "interval")]
+    elapsed = time.perf_counter() - start
+    assert all(r.ok for r in reports)
+    assert elapsed < 1.0, f"validation took {elapsed:.2f} s"

@@ -1,6 +1,7 @@
 """Serialization: JSON documents and the framed bit-stream container."""
 
 import json
+import sys
 import random
 
 import pytest
@@ -98,6 +99,14 @@ def test_document_parse_errors():
         loads_document("{not json")
     with pytest.raises(FormatError):
         loads_document("[1, 2]")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int string-digit limit")
+def test_oversized_integer_is_a_format_error():
+    text = '{"alphabet": ' + "9" * 5000 + ', "trees": []}'
+    with pytest.raises(FormatError, match="unreadable JSON value"):
+        loads_document(text)
 
 
 def test_parse_distribution():
