@@ -33,15 +33,11 @@ class BitString:
     @classmethod
     def from_text(cls, text):
         """Parse a string of '0'/'1' characters; '' gives the empty string."""
-        value = 0
-        for ch in text:
-            if ch == "0":
-                value <<= 1
-            elif ch == "1":
-                value = (value << 1) | 1
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(value, len(text))
+        # int() alone would also take '0b1', '1_0' and surrounding blanks
+        rest = text.lstrip("01")
+        if rest:
+            raise ValueError(f"invalid bit character {rest[0]!r}")
+        return cls(int(text, 2) if text else 0, len(text))
 
     def text(self):
         return format(self.value, f"0{self.length}b") if self.length else ""

@@ -12,6 +12,12 @@ matches and some member of Mode_{Point_k(a)} follows it.  Only the
 codeword is consumed; the matched mode member is lookahead and stays
 in the stream.  On a valid set exactly one symbol can ever match, and
 the lookahead never exceeds the set's decoding delay.
+
+No decision looks further than ``reach`` bits past the current
+position: the longest codeword plus the longest mode member of the set.
+The decoder therefore reads the stream through a window, an integer
+refilled from a byte buffer whenever fewer than ``reach`` bits are left
+in it, so its cost is linear in the stream length.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ from .bitstring import BitString, sort_key
 from .errors import AmbiguousMatch, NoMatch, SymbolOutOfRange, Truncated
 
 # flush the bit accumulator to a chunk list past this many bits, so the
-# working integer stays small while long messages are encoded
+# working integer stays small while long messages are encoded; the
+# decoder refills its window in steps of the same size
 _CHUNK_BITS = 4096
 
 
 class _Tables:
     """Per-set integer tables the hot loops run on."""
 
-    __slots__ = ("cwords", "queries", "terminations")
+    __slots__ = ("cwords", "queries", "terminations", "reach")
 
     def __init__(self, tree_set):
         self.cwords = []        # [k][a] -> (len, value, point)
@@ -40,6 +47,9 @@ class _Tables:
             mode = sorted(tree.mode, key=sort_key)
             self.queries.append(tuple((q.length, q.value) for q in mode))
             self.terminations.append(mode[0])
+        # the most bits past the current position that a decision reads;
+        # the first decode sets it, so encoding alone does not pay for it
+        self.reach = None
 
 
 def _tables(tree_set):
@@ -140,6 +150,17 @@ def decode(tree_set, bits, length):
     stops in the middle of a decision, NoMatch when no symbol fits the
     bits at all, and AmbiguousMatch only on sets that would not pass
     validation.
+
+    The stream is packed once into left-aligned bytes, as in the binary
+    container.  The window ``win`` holds the stream bits up to position
+    ``wend``; when fewer than ``reach`` bits past the current position
+    are left in it and the stream has more, it is refilled from the
+    bytes with the next ``_CHUNK_BITS + reach`` bits, or up to the end
+    of the stream.  A decision never reads past ``reach`` bits, so it
+    sees the same bits as in the whole stream, and the stream tail is
+    always fully in the window.  Refills cost O(bits) in all; each
+    symbol costs O(candidates) operations on a window of bounded size,
+    whatever the message length.
     """
     tree_set.ensure_valid()
     if length < 0:
@@ -147,14 +168,26 @@ def decode(tree_set, bits, length):
     tables = _tables(tree_set)
     cwords = tables.cwords
     queries = tables.queries
-    value = bits.value
+    reach = tables.reach
+    if reach is None:
+        reach = tables.reach = max(c[0] for row in cwords for c in row) \
+            + max(q[-1][0] for q in queries)
     total = bits.length
+    data = (bits.value << (-total % 8)).to_bytes((total + 7) // 8, "big")
+    win = 0
+    wend = 0
     pos = 0
     out = []
     lookaheads = []
     k = 0
     for i in range(length):
-        avail = total - pos
+        avail = wend - pos
+        if avail < reach and wend < total:
+            wend = min(total, pos + _CHUNK_BITS + reach)
+            first = pos >> 3
+            last = (wend + 7) >> 3
+            win = int.from_bytes(data[first:last], "big") >> (last * 8 - wend)
+            avail = wend - pos
         match = -1
         match_point = -1
         match_len = 0
@@ -163,13 +196,13 @@ def decode(tree_set, bits, length):
         for a, (clen, cval, point) in enumerate(cwords[k]):
             if clen > avail:
                 continue
-            if (value >> (avail - clen)) & ((1 << clen) - 1) != cval:
+            if (win >> (avail - clen)) & ((1 << clen) - 1) != cval:
                 continue
             rest = avail - clen
             for qlen, qval in queries[point]:
                 if qlen > rest:
                     continue
-                if (value >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
+                if (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
                     matches += 1
                     if matches == 1:
                         match, match_point = a, point
@@ -180,7 +213,7 @@ def decode(tree_set, bits, length):
                 f"{matches} symbols match at bit {pos}",
                 symbol_index=i, bit_position=pos)
         if matches == 0:
-            suffix = value & ((1 << avail) - 1) if avail else 0
+            suffix = win & ((1 << avail) - 1) if avail else 0
             for clen, cval, point in cwords[k]:
                 for qlen, qval in queries[point]:
                     wlen = clen + qlen

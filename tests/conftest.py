@@ -8,8 +8,10 @@ so a bug in the fast paths cannot hide behind itself.
 from fractions import Fraction
 
 from aifv.bitstring import BitString, sort_key
+from aifv.codec import DecodeTrace
 from aifv.codetree import (CodeTree, CodeTreeSet, Violation, expands,
                            reachable_trees)
+from aifv.errors import AmbiguousMatch, NoMatch, Truncated
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
 MODE_POOL = [
@@ -124,6 +126,51 @@ def validate_oracle(tree_set):
                         f"tree {k}: expanded codeword {w!r} ({names[a]}) "
                         f"has no prefix in the tree's mode"))
     return violations
+
+
+def decode_oracle(tree_set, bits, length):
+    """What ``decode`` must return or raise, from a whole-stream scan.
+
+    Every decision looks at the entire rest of the stream as text: a
+    symbol matches when its codeword and then some member of its next
+    tree's mode start there, and the shortest such member is its
+    lookahead.  With no match, the stream is truncated when what is
+    left is a proper prefix of some codeword + member.
+    """
+    text = bits.text()
+    cwords = [[w.text() for w in tree.cwords] for tree in tree_set.trees]
+    modes = [sorted((q.text() for q in tree.mode), key=lambda q: (len(q), q))
+             for tree in tree_set.trees]
+    pos = 0
+    out = []
+    lookaheads = []
+    k = 0
+    for i in range(length):
+        rest = text[pos:]
+        matches = [(a, next(q for q in modes[point]
+                            if rest.startswith(w + q)))
+                   for a, (w, point) in enumerate(
+                       zip(cwords[k], tree_set.trees[k].points))
+                   if any(rest.startswith(w + q) for q in modes[point])]
+        if len(matches) > 1:
+            raise AmbiguousMatch(
+                f"{len(matches)} symbols match at bit {pos}",
+                symbol_index=i, bit_position=pos)
+        if not matches:
+            if any(len(w + q) > len(rest) and (w + q).startswith(rest)
+                   for w, point in zip(cwords[k], tree_set.trees[k].points)
+                   for q in modes[point]):
+                raise Truncated(
+                    f"stream ends inside symbol {i} at bit {pos}",
+                    symbol_index=i, bit_position=pos)
+            raise NoMatch(f"no symbol matches at bit {pos}",
+                          symbol_index=i, bit_position=pos)
+        a, q = matches[0]
+        out.append(a)
+        lookaheads.append(len(q))
+        pos += len(cwords[k][a])
+        k = tree_set.trees[k].points[a]
+    return DecodeTrace(out, lookaheads, pos)
 
 
 def random_valid_tree_set(rng, max_trees=4, max_symbols=3):

@@ -1,6 +1,7 @@
 """Bit strings, prefix relations, and their exact interval images."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ def test_construction_rejects_out_of_range():
         BitString.from_text("01x")
     with pytest.raises(IndexError):
         bits("01").bit(2)
+
+
+def test_from_text_accepts_only_bit_characters():
+    assert BitString.from_text("") == BitString()
+    assert BitString.from_text("0" * 5000 + "1") == BitString(1, 5001)
+    # int(text, 2) would accept each of these
+    for text, bad in [("0b1", "b"), ("1_0", "_"), (" 1", " "), ("1 ", " "),
+                      ("01\n", "\n"), ("0١", "١"), ("01x0y", "x")]:
+        message = f"invalid bit character {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BitString.from_text(text)
 
 
 def test_concat_prefix_suffix():

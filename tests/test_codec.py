@@ -2,9 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aifv import codec
+from aifv.bitstring import BitString
 from aifv.codec import (decode, encode, encode_without_termination,
                         max_realized_lookahead)
 from aifv.codetree import (CodeTree, CodeTreeSet, ValidationReport,
@@ -13,7 +17,7 @@ from aifv.errors import (AmbiguousMatch, NoMatch, SymbolOutOfRange,
                          Truncated)
 from aifv import examples
 
-from conftest import bits, random_valid_tree_set
+from conftest import bits, decode_oracle, random_valid_tree_set
 
 SEED = 20240814
 
@@ -173,3 +177,54 @@ def test_decode_requires_whole_lookahead_present():
     trace = decode(ts, result.bits, 2)
     assert trace.symbols == (1, 0)
     assert trace.per_symbol_lookahead == (1, 0)
+
+
+def decode_outcome(decoder, ts, stream, length):
+    try:
+        trace = decoder(ts, stream, length)
+    except (AmbiguousMatch, NoMatch, Truncated) as err:
+        return type(err), err.symbol_index, err.bit_position
+    return trace.symbols, trace.per_symbol_lookahead, trace.bits_consumed
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_decode_matches_whole_stream_oracle(rng):
+    # skewed_delay3_set has empty codewords and an empty mode member
+    ts = (examples.skewed_delay3_set() if rng.random() < 0.25
+          else random_valid_tree_set(rng))
+    msg = [rng.randrange(ts.symbol_count) for _ in range(rng.randint(0, 60))]
+    clean = encode(ts, msg).bits
+    flipped = clean
+    for _ in range(rng.randint(1, 3) if clean.length else 0):
+        flipped = BitString(flipped.value ^ (1 << rng.randrange(clean.length)),
+                            clean.length)
+    n = rng.randint(0, 200)
+    cases = [
+        (clean, len(msg)),
+        (clean, len(msg) + rng.randint(1, 3)),
+        (flipped, len(msg)),
+        (clean.prefix(rng.randint(0, clean.length)), len(msg)),
+        (BitString(rng.getrandbits(n) if n else 0, n), rng.randint(0, 120)),
+    ]
+    for stream, length in cases:
+        expected = decode_outcome(decode_oracle, ts, stream, length)
+        # small windows put refills inside codewords and lookahead
+        for chunk in (0, 1, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(codec, "_CHUNK_BITS", chunk)
+                assert decode_outcome(decode, ts, stream, length) == expected
+
+
+def test_decode_is_linear_in_stream_length():
+    # a whole-stream scan needs several seconds here
+    ts = examples.skewed_delay3_set()
+    rng = random.Random(SEED + 2)
+    msg = rng.choices(range(4), weights=examples.skewed_distribution(),
+                      k=200_000)
+    result = encode(ts, msg)
+    start = time.perf_counter()
+    trace = decode(ts, result.bits, len(msg))
+    elapsed = time.perf_counter() - start
+    assert trace.symbols == tuple(msg)
+    assert elapsed < 1.5, f"decoding took {elapsed:.2f} s"
