@@ -18,10 +18,9 @@ from .codec import (DecodeTrace, EncodeResult, decode, encode,
 from .codetree import (CodeTree, CodeTreeSet, ValidationReport, Violation,
                        check_delay_budget, decoding_delay, expand, expands,
                        flatten_expands, is_full, reachable_trees, validate)
-from .errors import (AifvError, AmbiguousMatch, CapExceeded,
-                     DepthExceeded, DimensionMismatch, FormatError,
-                     IndexOutOfRange, InvalidSet, MemberTooLong, NoMatch,
-                     NoConvergence, NormalizationFailed, NotAPrefix,
+from .errors import (AifvError, CapExceeded, DepthExceeded,
+                     DimensionMismatch, FormatError, IndexOutOfRange,
+                     InvalidSet, MemberTooLong, NoMatch, NoConvergence, NormalizationFailed, NotAPrefix,
                      StructureViolation, SymbolOutOfRange, Truncated,
                      Unvalidated)
 from .transform import (ConventionalTree, VVCodeTable,
@@ -35,7 +34,7 @@ from . import analysis, examples, formats
 __version__ = "0.1.0"
 
 __all__ = [
-    "AifvError", "AmbiguousMatch", "BitString", "CapExceeded", "CodeTree",
+    "AifvError", "BitString", "CapExceeded", "CodeTree",
     "CodeTreeSet", "ConventionalTree", "DecodeTrace", "DepthExceeded",
     "DimensionMismatch", "EncodeResult",
     "FormatError", "IndexOutOfRange", "InvalidSet", "MemberTooLong",

@@ -18,6 +18,10 @@ from .errors import DimensionMismatch, NoConvergence
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10 ** 6
+# monte_carlo_rate draws symbols in blocks of this size, so memory stays
+# bounded however long the sample; the generator yields the same
+# sequence whatever the block size
+MC_BLOCK = 1 << 16
 
 
 def _check_dist(tree_set, dist):
@@ -96,12 +100,13 @@ def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
     if n_symbols == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(dist), size=n_symbols, p=dist).tolist()
     lengths = [[w.length for w in tree.cwords] for tree in tree_set.trees]
     points = [list(tree.points) for tree in tree_set.trees]
     bits = 0
     k = 0
-    for x in draws:
-        bits += lengths[k][x]
-        k = points[k][x]
+    for start in range(0, n_symbols, MC_BLOCK):
+        size = min(MC_BLOCK, n_symbols - start)
+        for x in rng.choice(len(dist), size=size, p=dist).tolist():
+            bits += lengths[k][x]
+            k = points[k][x]
     return bits / n_symbols

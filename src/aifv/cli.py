@@ -20,9 +20,10 @@ from .analysis import (entropy, expected_code_length, monte_carlo_rate,
 from .codec import decode, encode
 from .codetree import check_delay_budget, decoding_delay, validate
 from .errors import AifvError, FormatError, MemberTooLong
-from .formats import (dumps_document, loads_document, parse_conventional,
-                      parse_distribution, parse_tree_set, parse_vv_table,
-                      read_bitstream, tree_set_to_doc, write_bitstream)
+from .formats import (dumps_document, loads_document, loads_json,
+                      parse_conventional, parse_distribution, parse_tree_set,
+                      parse_vv_table, read_bitstream, tree_set_to_doc,
+                      write_bitstream)
 from .transform import import_aifv2, import_aifvm, to_basic, vv_to_tree_set
 from . import bitstring
 
@@ -164,8 +165,9 @@ def _cmd_decode(args):
     if length is None:
         raise FormatError("a symbol count is required: pass --length")
     trace = decode(tree_set, bits, length)
-    names = [tree_set.symbol_name(a) for a in trace.symbols]
-    _write_text(args.output, " ".join(names) + "\n")
+    names = tree_set.symbols
+    _write_text(args.output,
+                " ".join([names[a] for a in trace.symbols]) + "\n")
     return 0
 
 
@@ -178,7 +180,7 @@ def _cmd_reduce(args):
 
 def _cmd_analyze(args):
     tree_set = _load_tree_set(args.trees)
-    dist = parse_distribution(loads_document(_read_text(args.dist)))
+    dist = parse_distribution(loads_json(_read_text(args.dist)))
     delay = decoding_delay(tree_set)
     h = entropy(dist)
     rate = expected_code_length(tree_set, dist)

@@ -4,37 +4,42 @@ The encoder walks the trees, concatenating codewords, and finishes by
 appending a termination word: the shortest member of the final tree's
 mode (ties broken lexicographically, 0 before 1).  Any member would do,
 because the mode lists exactly the ways a stream from that tree may
-continue; the shortest keeps the output minimal.
+continue; the shortest keeps the output minimal.  It collects bits in a
+small accumulator and flushes whole bytes to a buffer, so its cost is
+linear in the output length.
 
 The decoder is driven by the same structure in reverse.  Sitting at
 tree k with some bits in hand, symbol a is confirmed once Cword_k(a)
 matches and some member of Mode_{Point_k(a)} follows it.  Only the
 codeword is consumed; the matched mode member is lookahead and stays
-in the stream.  On a valid set exactly one symbol can ever match, and
-the lookahead never exceeds the set's decoding delay.
+in the stream.  On a valid set exactly one symbol can ever match, so
+the decoder commits to the first one it confirms, and the lookahead
+never exceeds the set's decoding delay.
 
 No decision looks further than ``reach`` bits past the current
 position: the longest codeword plus the longest mode member of the set.
-The decoder therefore reads the stream through a window, an integer
-refilled from a byte buffer whenever fewer than ``reach`` bits are left
-in it, so its cost is linear in the stream length.
+The decoder therefore reads the stream through a window of about
+``_CHUNK_BITS + reach`` bits, an integer refilled from a byte buffer
+whenever fewer than ``reach`` bits are left in it, so every shift and
+mask acts on a small integer and its cost is linear in the stream
+length.
 """
 
 from __future__ import annotations
 
 from .bitstring import BitString, sort_key
-from .errors import AmbiguousMatch, NoMatch, SymbolOutOfRange, Truncated
+from .errors import NoMatch, SymbolOutOfRange, Truncated
 
-# flush the bit accumulator to a chunk list past this many bits, so the
-# working integer stays small while long messages are encoded; the
-# decoder refills its window in steps of the same size
-_CHUNK_BITS = 4096
+# the encoder flushes its accumulator's whole bytes once it holds this
+# many bits, and the decoder refills its window in steps of the same
+# size, so the integers both loops shift and mask stay small
+_CHUNK_BITS = 256
 
 
 class _Tables:
     """Per-set integer tables the hot loops run on."""
 
-    __slots__ = ("cwords", "queries", "terminations", "reach")
+    __slots__ = ("cwords", "queries", "terminations", "reach", "rows")
 
     def __init__(self, tree_set):
         self.cwords = []        # [k][a] -> (len, value, point)
@@ -47,9 +52,24 @@ class _Tables:
             mode = sorted(tree.mode, key=sort_key)
             self.queries.append(tuple((q.length, q.value) for q in mode))
             self.terminations.append(mode[0])
-        # the most bits past the current position that a decision reads;
-        # the first decode sets it, so encoding alone does not pay for it
+        # the decoder's candidate rows [k] -> ((a, len, value, point,
+        # queries[point]), ...) and the most bits past the current
+        # position that a decision reads; the first decode sets both,
+        # so encoding alone does not pay for them
+        self.rows = None
         self.reach = None
+
+    def decoder(self):
+        """The candidate rows and ``reach``, built on first use."""
+        if self.rows is None:
+            queries = self.queries
+            self.rows = [
+                tuple((a, length, value, point, queries[point])
+                      for a, (length, value, point) in enumerate(row))
+                for row in self.cwords]
+            self.reach = max(c[0] for row in self.cwords for c in row) \
+                + max(q[-1][0] for q in queries)
+        return self.rows, self.reach
 
 
 def _tables(tree_set):
@@ -80,9 +100,16 @@ class EncodeResult:
 
 
 def _encode_body(tree_set, symbols):
-    tables = _tables(tree_set)
-    cwords = tables.cwords
-    chunks = []
+    """The body bits of ``symbols`` and the tree the walk ends in.
+
+    Codewords are shifted into ``acc``; once it holds ``_CHUNK_BITS``
+    bits, its whole bytes go to ``out`` (MSB first, the
+    ``formats.write_bitstream`` layout) and at most 7 bits stay behind.
+    One ``int.from_bytes`` at the end joins the buffer, so the cost is
+    linear in the body length.
+    """
+    cwords = _tables(tree_set).cwords
+    out = bytearray()
     acc = 0
     acc_len = 0
     k = 0
@@ -94,17 +121,12 @@ def _encode_body(tree_set, symbols):
         acc_len += length
         k = point
         if acc_len >= _CHUNK_BITS:
-            chunks.append((acc, acc_len))
-            acc = 0
-            acc_len = 0
-    if acc_len or not chunks:
-        chunks.append((acc, acc_len))
-    total = 0
-    total_len = 0
-    for value, length in chunks:
-        total = (total << length) | value
-        total_len += length
-    return BitString(total, total_len), k
+            spare = acc_len & 7
+            out += (acc >> spare).to_bytes(acc_len >> 3, "big")
+            acc &= (1 << spare) - 1
+            acc_len = spare
+    value = (int.from_bytes(out, "big") << acc_len) | acc
+    return BitString(value, len(out) * 8 + acc_len), k
 
 
 def encode(tree_set, symbols):
@@ -147,9 +169,8 @@ def decode(tree_set, bits, length):
 
     Bits beyond what the last symbol needs are ignored; the trace
     records how many were consumed.  Raises Truncated when the stream
-    stops in the middle of a decision, NoMatch when no symbol fits the
-    bits at all, and AmbiguousMatch only on sets that would not pass
-    validation.
+    stops in the middle of a decision and NoMatch when no symbol fits
+    the bits at all.
 
     The stream is packed once into left-aligned bytes, as in the binary
     container.  The window ``win`` holds the stream bits up to position
@@ -158,20 +179,16 @@ def decode(tree_set, bits, length):
     bytes with the next ``_CHUNK_BITS + reach`` bits, or up to the end
     of the stream.  A decision never reads past ``reach`` bits, so it
     sees the same bits as in the whole stream, and the stream tail is
-    always fully in the window.  Refills cost O(bits) in all; each
-    symbol costs O(candidates) operations on a window of bounded size,
-    whatever the message length.
+    always fully in the window.  Each symbol walks its tree's candidate
+    rows and stops at the first confirmed match: the set is valid, so no
+    later row can match too.  Refills cost O(bits) in all; each symbol
+    costs O(candidates) operations on a window of about
+    ``_CHUNK_BITS + reach`` bits, whatever the message length.
     """
     tree_set.ensure_valid()
     if length < 0:
         raise ValueError("symbol count must be non-negative")
-    tables = _tables(tree_set)
-    cwords = tables.cwords
-    queries = tables.queries
-    reach = tables.reach
-    if reach is None:
-        reach = tables.reach = max(c[0] for row in cwords for c in row) \
-            + max(q[-1][0] for q in queries)
+    rows, reach = _tables(tree_set).decoder()
     total = bits.length
     data = (bits.value << (-total % 8)).to_bytes((total + 7) // 8, "big")
     win = 0
@@ -188,34 +205,21 @@ def decode(tree_set, bits, length):
             last = (wend + 7) >> 3
             win = int.from_bytes(data[first:last], "big") >> (last * 8 - wend)
             avail = wend - pos
-        match = -1
-        match_point = -1
-        match_len = 0
-        match_look = 0
-        matches = 0
-        for a, (clen, cval, point) in enumerate(cwords[k]):
-            if clen > avail:
-                continue
-            if (win >> (avail - clen)) & ((1 << clen) - 1) != cval:
-                continue
+        for a, clen, cval, point, queries in rows[k]:
             rest = avail - clen
-            for qlen, qval in queries[point]:
-                if qlen > rest:
-                    continue
-                if (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
-                    matches += 1
-                    if matches == 1:
-                        match, match_point = a, point
-                        match_len, match_look = clen, qlen
+            if rest < 0 or (win >> rest) & ((1 << clen) - 1) != cval:
+                continue
+            for qlen, qval in queries:
+                if qlen <= rest and \
+                        (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
                     break
-        if matches > 1:
-            raise AmbiguousMatch(
-                f"{matches} symbols match at bit {pos}",
-                symbol_index=i, bit_position=pos)
-        if matches == 0:
-            suffix = win & ((1 << avail) - 1) if avail else 0
-            for clen, cval, point in cwords[k]:
-                for qlen, qval in queries[point]:
+            else:
+                continue  # no mode member follows this codeword
+            break  # confirmed; on a valid set no other row matches
+        else:
+            suffix = win & ((1 << avail) - 1)
+            for _, clen, cval, _, queries in rows[k]:
+                for qlen, qval in queries:
                     wlen = clen + qlen
                     if wlen <= avail:
                         continue
@@ -227,8 +231,8 @@ def decode(tree_set, bits, length):
             raise NoMatch(
                 f"no symbol matches at bit {pos}",
                 symbol_index=i, bit_position=pos)
-        out.append(match)
-        lookaheads.append(match_look)
-        pos += match_len
-        k = match_point
+        out.append(a)
+        lookaheads.append(qlen)
+        pos += clen
+        k = point
     return DecodeTrace(out, lookaheads, pos)

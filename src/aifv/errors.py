@@ -49,15 +49,6 @@ class NoMatch(AifvError):
         self.bit_position = bit_position
 
 
-class AmbiguousMatch(AifvError):
-    """The decoder found more than one consistent symbol (broken set)."""
-
-    def __init__(self, message, symbol_index=None, bit_position=None):
-        super().__init__(message)
-        self.symbol_index = symbol_index
-        self.bit_position = bit_position
-
-
 class Truncated(AifvError):
     """The bit stream ended before a symbol could be confirmed."""
 

@@ -56,9 +56,10 @@ def dumps_document(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def loads_document(text):
+def loads_json(text):
+    """Parse any JSON value; every failure is a FormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -66,6 +67,11 @@ def loads_document(text):
     except ValueError as exc:
         # e.g. an integer literal over Python's int string-digit limit
         raise FormatError(f"unreadable JSON value: {exc}") from exc
+
+
+def loads_document(text):
+    """Parse a JSON document whose top level must be an object."""
+    doc = loads_json(text)
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     return doc

@@ -11,7 +11,7 @@ from aifv.bitstring import BitString, sort_key
 from aifv.codec import DecodeTrace
 from aifv.codetree import (CodeTree, CodeTreeSet, Violation, expands,
                            reachable_trees)
-from aifv.errors import AmbiguousMatch, NoMatch, Truncated
+from aifv.errors import NoMatch, Truncated
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
 MODE_POOL = [
@@ -152,10 +152,8 @@ def decode_oracle(tree_set, bits, length):
                    for a, (w, point) in enumerate(
                        zip(cwords[k], tree_set.trees[k].points))
                    if any(rest.startswith(w + q) for q in modes[point])]
-        if len(matches) > 1:
-            raise AmbiguousMatch(
-                f"{len(matches)} symbols match at bit {pos}",
-                symbol_index=i, bit_position=pos)
+        # a valid set never lets two symbols match
+        assert len(matches) <= 1, f"{len(matches)} symbols match at bit {pos}"
         if not matches:
             if any(len(w + q) > len(rest) and (w + q).startswith(rest)
                    for w, point in zip(cwords[k], tree_set.trees[k].points)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aifv import analysis
 from aifv.analysis import (entropy, expected_code_length, monte_carlo_rate,
                            stationary, transition_matrix)
 from aifv.codetree import CodeTree, CodeTreeSet
@@ -108,6 +109,16 @@ def test_monte_carlo_is_deterministic_per_seed():
     assert a == b
     assert a != c
     assert monte_carlo_rate(sk, dist, 0, seed=1) == 0.0
+
+
+def test_monte_carlo_block_size_does_not_change_rate(monkeypatch):
+    # the generator yields the same symbols whatever the block size
+    sk = examples.skewed_delay3_set()
+    dist = examples.skewed_distribution()
+    rate = monte_carlo_rate(sk, dist, 3000, seed=7)
+    for block in (1, 7):
+        monkeypatch.setattr(analysis, "MC_BLOCK", block)
+        assert monte_carlo_rate(sk, dist, 3000, seed=7) == rate
 
 
 def test_monte_carlo_exact_on_constant_length_code():

@@ -167,6 +167,27 @@ def test_analyze_text_and_json(capsys, trees_path, tmp_path):
     assert abs(stats["monte_carlo"]["rate"] - 1.05) < 0.1
 
 
+def test_analyze_takes_a_bare_list_distribution(capsys, trees_path,
+                                                tmp_path):
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[0.5, 0.5]\n")
+    code, out, _ = run(capsys, "analyze", trees_path,
+                       "--dist", str(dist_path))
+    assert code == 0
+    assert "expected code length: 1.050000" in out
+    # any other top level is still a format error, and so is a set
+    # document that is not an object
+    dist_path.write_text('"half"\n')
+    code, _, err = run(capsys, "analyze", trees_path,
+                       "--dist", str(dist_path))
+    assert code == 2 and "list of probabilities" in err
+    set_path = tmp_path / "list.json"
+    set_path.write_text("[]\n")
+    code, _, err = run(capsys, "analyze", str(set_path),
+                       "--dist", str(dist_path))
+    assert code == 2 and "JSON object" in err
+
+
 def test_import_and_validate_output(capsys, tmp_path):
     src = tmp_path / "conventional.json"
     src.write_text(dumps_document(examples.quaternary_aifv2_doc()))

@@ -11,10 +11,8 @@ from aifv import codec
 from aifv.bitstring import BitString
 from aifv.codec import (decode, encode, encode_without_termination,
                         max_realized_lookahead)
-from aifv.codetree import (CodeTree, CodeTreeSet, ValidationReport,
-                           decoding_delay, validate)
-from aifv.errors import (AmbiguousMatch, NoMatch, SymbolOutOfRange,
-                         Truncated)
+from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
+from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
 
 from conftest import bits, decode_oracle, random_valid_tree_set
@@ -113,13 +111,12 @@ def test_no_match_on_impossible_bits():
         decode(ts, bits("0"), 1)
 
 
-def test_ambiguous_match_is_defensive_only():
-    # an undecodable set can only reach the decoder with a forged
-    # validation report; the decoder still refuses to guess
+def test_decode_refuses_an_undecodable_set():
+    # two symbols share a codeword, so either could match; the decoder
+    # never sees such a set, because it validates first
     broken = CodeTreeSet([tree([""], [("", 0), ("", 0)])])
     assert not validate(broken).ok
-    broken._reports["direct"] = ValidationReport("direct", ())
-    with pytest.raises(AmbiguousMatch):
+    with pytest.raises(Unvalidated):
         decode(broken, bits("0"), 1)
 
 
@@ -182,7 +179,7 @@ def test_decode_requires_whole_lookahead_present():
 def decode_outcome(decoder, ts, stream, length):
     try:
         trace = decoder(ts, stream, length)
-    except (AmbiguousMatch, NoMatch, Truncated) as err:
+    except (NoMatch, Truncated) as err:
         return type(err), err.symbol_index, err.bit_position
     return trace.symbols, trace.per_symbol_lookahead, trace.bits_consumed
 
@@ -195,6 +192,15 @@ def test_decode_matches_whole_stream_oracle(rng):
           else random_valid_tree_set(rng))
     msg = [rng.randrange(ts.symbol_count) for _ in range(rng.randint(0, 60))]
     clean = encode(ts, msg).bits
+    # the codeword texts along the tree path, then the termination
+    words = []
+    k = 0
+    for x in msg:
+        words.append(ts.trees[k].cwords[x].text())
+        k = ts.trees[k].points[x]
+    shortest = min(ts.trees[k].mode, key=lambda q: (q.length, q.value))
+    expected_text = "".join(words) + shortest.text()
+    assert clean.text() == expected_text
     flipped = clean
     for _ in range(rng.randint(1, 3) if clean.length else 0):
         flipped = BitString(flipped.value ^ (1 << rng.randrange(clean.length)),
@@ -207,10 +213,15 @@ def test_decode_matches_whole_stream_oracle(rng):
         (clean.prefix(rng.randint(0, clean.length)), len(msg)),
         (BitString(rng.getrandbits(n) if n else 0, n), rng.randint(0, 120)),
     ]
+    # small chunks put flushes and refills inside codewords and lookahead
+    chunks = (0, 1, 7, 64)
+    for chunk in chunks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_CHUNK_BITS", chunk)
+            assert encode(ts, msg).bits.text() == expected_text
     for stream, length in cases:
         expected = decode_outcome(decode_oracle, ts, stream, length)
-        # small windows put refills inside codewords and lookahead
-        for chunk in (0, 1, 7, 64):
+        for chunk in chunks:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(codec, "_CHUNK_BITS", chunk)
                 assert decode_outcome(decode, ts, stream, length) == expected
@@ -228,3 +239,17 @@ def test_decode_is_linear_in_stream_length():
     elapsed = time.perf_counter() - start
     assert trace.symbols == tuple(msg)
     assert elapsed < 1.5, f"decoding took {elapsed:.2f} s"
+
+
+def test_encode_is_linear_in_stream_length():
+    # 20 Mbit; joining fixed-size chunks into one integer needs seconds
+    ts = CodeTreeSet([tree([""], [("0" * 1000, 0), ("1" * 1000, 0)])])
+    rng = random.Random(SEED + 3)
+    msg = [rng.randrange(2) for _ in range(20_000)]
+    start = time.perf_counter()
+    result = encode(ts, msg)
+    trace = decode(ts, result.bits, len(msg))
+    elapsed = time.perf_counter() - start
+    assert result.bits.length == 1000 * len(msg)
+    assert trace.symbols == tuple(msg)
+    assert elapsed < 1.0, f"the round trip took {elapsed:.2f} s"
