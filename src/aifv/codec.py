@@ -23,60 +23,25 @@ The decoder therefore reads the stream through a window of about
 whenever fewer than ``reach`` bits are left in it, so every shift and
 mask acts on a small integer and its cost is linear in the stream
 length.
+
+Both loops run on the set's integer table (``codetree.table``):
+codewords as (length, value, successor) rows, mode members as
+(length, value) pairs.  The table is shared with the validator and
+``decoding_delay``, so each set is converted once, by whichever of them
+runs first; only the decoder's candidate rows are built on the first
+decode.
 """
 
 from __future__ import annotations
 
-from .bitstring import BitString, sort_key
+from .bitstring import BitString
+from .codetree import table
 from .errors import NoMatch, SymbolOutOfRange, Truncated
 
 # the encoder flushes its accumulator's whole bytes once it holds this
 # many bits, and the decoder refills its window in steps of the same
 # size, so the integers both loops shift and mask stay small
 _CHUNK_BITS = 256
-
-
-class _Tables:
-    """Per-set integer tables the hot loops run on."""
-
-    __slots__ = ("cwords", "queries", "terminations", "reach", "rows")
-
-    def __init__(self, tree_set):
-        self.cwords = []        # [k][a] -> (len, value, point)
-        self.queries = []       # [k] -> ((len, value), ...) shortest first
-        self.terminations = []  # [k] -> BitString
-        for tree in tree_set.trees:
-            self.cwords.append([
-                (w.length, w.value, point)
-                for w, point in zip(tree.cwords, tree.points)])
-            mode = sorted(tree.mode, key=sort_key)
-            self.queries.append(tuple((q.length, q.value) for q in mode))
-            self.terminations.append(mode[0])
-        # the decoder's candidate rows [k] -> ((a, len, value, point,
-        # queries[point]), ...) and the most bits past the current
-        # position that a decision reads; the first decode sets both,
-        # so encoding alone does not pay for them
-        self.rows = None
-        self.reach = None
-
-    def decoder(self):
-        """The candidate rows and ``reach``, built on first use."""
-        if self.rows is None:
-            queries = self.queries
-            self.rows = [
-                tuple((a, length, value, point, queries[point])
-                      for a, (length, value, point) in enumerate(row))
-                for row in self.cwords]
-            self.reach = max(c[0] for row in self.cwords for c in row) \
-                + max(q[-1][0] for q in queries)
-        return self.rows, self.reach
-
-
-def _tables(tree_set):
-    tables = tree_set._codec
-    if tables is None:
-        tables = tree_set._codec = _Tables(tree_set)
-    return tables
 
 
 class EncodeResult:
@@ -108,7 +73,7 @@ def _encode_body(tree_set, symbols):
     One ``int.from_bytes`` at the end joins the buffer, so the cost is
     linear in the body length.
     """
-    cwords = _tables(tree_set).cwords
+    cwords = table(tree_set).cwords
     out = bytearray()
     acc = 0
     acc_len = 0
@@ -133,15 +98,8 @@ def encode(tree_set, symbols):
     """Encode a symbol sequence, termination included."""
     tree_set.ensure_valid()
     body, k = _encode_body(tree_set, symbols)
-    termination = _tables(tree_set).terminations[k]
+    termination = table(tree_set).terminations[k]
     return EncodeResult(body + termination, body.length, k, termination)
-
-
-def encode_without_termination(tree_set, symbols):
-    """The body bits alone; a decoder may need more to finish."""
-    tree_set.ensure_valid()
-    body, _ = _encode_body(tree_set, symbols)
-    return body
 
 
 class DecodeTrace:
@@ -188,7 +146,7 @@ def decode(tree_set, bits, length):
     tree_set.ensure_valid()
     if length < 0:
         raise ValueError("symbol count must be non-negative")
-    rows, reach = _tables(tree_set).decoder()
+    rows, reach = table(tree_set).decoder()
     total = bits.length
     data = (bits.value << (-total % 8)).to_bytes((total + 7) // 8, "big")
     win = 0

@@ -23,16 +23,18 @@ disjoint, and a word's prefixes among a tree's words are exactly the
 entries still open on a stack when the words are swept in interval
 order.  ``validate`` therefore finds every comparable pair in one
 sorted sweep per tree, in O(E log E + violations) for E expanded
-codewords, testing containment either directly on bit strings or
-through their integer interval images; the two methods agree on every
-input and produce identical reports.
+codewords.  The sweep runs on the set's integer table (``table``),
+where every word is a (length, value) pair: "direct" tests prefixes on
+those pairs, "interval" compares their integer interval images, and
+the two methods agree on every input and produce identical reports.
+The encoder and decoder run on the same table.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import EMPTY, interval, is_prefix, sort_key
+from .bitstring import EMPTY, BitString, sort_key
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
 from .wordset import reduce as reduce_words
@@ -75,7 +77,7 @@ def _default_names(m):
 class CodeTreeSet:
     """A dense, closed family of code trees sharing one alphabet."""
 
-    __slots__ = ("trees", "symbols", "tree_names", "_reports", "_codec")
+    __slots__ = ("trees", "symbols", "tree_names", "_reports", "_table")
 
     def __init__(self, trees, symbols=None, tree_names=None):
         trees = tuple(trees)
@@ -106,7 +108,7 @@ class CodeTreeSet:
         self.symbols = symbols
         self.tree_names = tree_names
         self._reports = {}
-        self._codec = None
+        self._table = None
 
     @property
     def tree_count(self):
@@ -130,6 +132,59 @@ class CodeTreeSet:
                 + "; ".join(v.message for v in report.violations[:3]),
                 report=report)
         return report
+
+
+class _Table:
+    """A set's integer view, shared by the validator and the codec.
+
+    ``cwords[k][a]`` is ``(len, value, point)``: Cword_k(a) as an
+    integer of ``len`` bits and the tree it hops to.  ``queries[k]``
+    lists tree k's mode members as ``(len, value)`` pairs in
+    ``sort_key`` order, so shortest first, and ``terminations[k]`` is
+    the first of them as a bit string.  Expanded word i of symbol a at
+    tree k is ``(len + qlen, value << qlen | qval)`` for
+    ``(qlen, qval) = queries[point][i]``.
+    """
+
+    __slots__ = ("cwords", "queries", "terminations", "reach", "rows")
+
+    def __init__(self, tree_set):
+        self.cwords = []
+        self.queries = []
+        self.terminations = []
+        for tree in tree_set.trees:
+            self.cwords.append([
+                (w.length, w.value, point)
+                for w, point in zip(tree.cwords, tree.points)])
+            mode = sorted(tree.mode, key=sort_key)
+            self.queries.append(tuple((q.length, q.value) for q in mode))
+            self.terminations.append(mode[0])
+        # the decoder's candidate rows [k] -> ((a, len, value, point,
+        # queries[point]), ...) and the most bits past the current
+        # position that a decision reads; the first decode sets both,
+        # so validating and encoding alone do not pay for them
+        self.rows = None
+        self.reach = None
+
+    def decoder(self):
+        """The candidate rows and ``reach``, built on first use."""
+        if self.rows is None:
+            queries = self.queries
+            self.rows = [
+                tuple((a, length, value, point, queries[point])
+                      for a, (length, value, point) in enumerate(row))
+                for row in self.cwords]
+            self.reach = max(c[0] for row in self.cwords for c in row) \
+                + max(q[-1][0] for q in queries)
+        return self.rows, self.reach
+
+
+def table(tree_set):
+    """The set's integer table, built on first use and then cached."""
+    tab = tree_set._table
+    if tab is None:
+        tab = tree_set._table = _Table(tree_set)
+    return tab
 
 
 class Violation(NamedTuple):
@@ -177,14 +232,6 @@ def expands(tree_set, k):
             for a in range(tree_set.symbol_count)]
 
 
-def flatten_expands(tree_set, k):
-    """All expanded codewords of tree k, merged across symbols."""
-    out = set()
-    for words in expands(tree_set, k):
-        out |= words
-    return frozenset(out)
-
-
 def reachable_trees(tree_set):
     """Ids of every tree reachable from tree 0 via successor hops."""
     seen = {0}
@@ -198,18 +245,25 @@ def reachable_trees(tree_set):
     return seen
 
 
+def _text(word):
+    return BitString(word[1], word[0]).text()
+
+
 def validate(tree_set, method="direct"):
     """Check decodability; the report lists every violation found.
 
-    Each tree's mode members and expanded codewords are swept once in
-    order of their intervals (lo, -hi) on the scale 2**n of the tree's
-    longest word, mode members ahead of equal expanded words.  Dyadic
-    intervals are nested or disjoint, so the entries left on a stack
-    that contain the current one are exactly its prefixes: each
-    expanded word of another symbol among them is an overlap, and the
-    current word is covered iff a mode member is among them.  "direct"
-    tests containment with ``is_prefix`` on bit strings, "interval" on
-    the integer pairs; the reports are identical either way.
+    Runs on the set's integer table, where every word is a
+    (length, value) pair.  Each tree's mode members and expanded
+    codewords are swept once in order of their intervals (lo, -hi) on
+    the scale 2**n of the tree's longest word, mode members ahead of
+    equal expanded words.  Dyadic intervals are nested or disjoint, so
+    the entries left on a stack that contain the current one are
+    exactly its prefixes: each expanded word of another symbol among
+    them is an overlap, and the current word is covered iff a mode
+    member is among them.  "direct" tests containment as the prefix
+    relation on (length, value) pairs, "interval" on the integer
+    interval pairs; the reports are identical either way.  Words become
+    text only when a violation is written.
 
     Cost per tree is O(E log E + V) for E expanded words and V
     violations, plus, per word, the depth to which the modes nest.
@@ -218,10 +272,12 @@ def validate(tree_set, method="direct"):
     """
     if method not in VALIDATION_METHODS:
         raise ValueError(f"unknown validation method {method!r}")
-    # entries are (lo, -hi, symbol or -1 for a mode member, index, word)
+    # entries are (lo, -hi, symbol or -1 for a mode member, index,
+    # length, value)
     if method == "direct":
         def contains(outer, inner):
-            return is_prefix(outer[4], inner[4])
+            return outer[4] <= inner[4] and \
+                inner[5] >> (inner[4] - outer[4]) == outer[5]
     else:
         def contains(outer, inner):
             return outer[0] <= inner[0] and outer[1] <= inner[1]
@@ -233,20 +289,21 @@ def validate(tree_set, method="direct"):
             violations.append(Violation(
                 "unreachable", k, (), (),
                 f"tree {k} cannot be reached from tree 0"))
-    for k in range(tree_set.tree_count):
-        tree = tree_set.trees[k]
-        exp = [sorted(words, key=sort_key) for words in expands(tree_set, k)]
-        n = max(w.length for words in exp + [tree.mode] for w in words)
-        entries = []
-        for q in tree.mode:
-            lo, hi = interval(q, n)
-            entries.append((lo, -hi, -1, 0, q))
-        for a, words in enumerate(exp):
-            for i, w in enumerate(words):
-                lo, hi = interval(w, n)
-                entries.append((lo, -hi, a, i, w))
-        # the first four fields are unique, so words are never compared
-        entries.sort()
+    tab = table(tree_set)
+    queries = tab.queries
+    for k, row in enumerate(tab.cwords):
+        # a symbol's expansions share its codeword, so they come in the
+        # sort_key order of its successor's mode members
+        exp = [[(clen + qlen, cval << qlen | qval)
+                for qlen, qval in queries[point]]
+               for clen, cval, point in row]
+        n = max(words[-1][0] for words in exp + [queries[k]])
+        # as symbol -1, mode members sort ahead of equal expanded words
+        entries = sorted(
+            (value << (n - length), -((value + 1) << (n - length)),
+             a, i, length, value)
+            for a, words in enumerate([queries[k]] + exp, -1)
+            for i, (length, value) in enumerate(words))
         overlaps = []
         uncovered = []
         stack = []
@@ -270,7 +327,7 @@ def validate(tree_set, method="direct"):
             stack.append(entry)
         overlaps.sort()
         for a, b, i, j in overlaps:
-            w1, w2 = exp[a][i].text(), exp[b][j].text()
+            w1, w2 = _text(exp[a][i]), _text(exp[b][j])
             na, nb = tree_set.symbol_name(a), tree_set.symbol_name(b)
             violations.append(Violation(
                 "overlap", k, (na, nb), (w1, w2),
@@ -278,7 +335,7 @@ def validate(tree_set, method="direct"):
                 f"{w2!r} ({nb}) are comparable"))
         uncovered.sort()
         for a, i in uncovered:
-            w = exp[a][i].text()
+            w = _text(exp[a][i])
             na = tree_set.symbol_name(a)
             violations.append(Violation(
                 "coverage", k, (na,), (w,),
@@ -295,17 +352,23 @@ def decoding_delay(tree_set):
     This is the longest mode member that actually occurs as a prefix of
     some expanded codeword of its own tree.  The decoder confirms a
     symbol as soon as such a member is seen, so no decision ever waits
-    for more bits than this.
+    for more bits than this.  Each expanded word's prefixes at the
+    mode's member lengths are looked up among the (length, value) pairs
+    of the set's integer table.
     """
     tree_set.ensure_valid()
+    tab = table(tree_set)
+    queries = tab.queries
     worst = 0
-    for k in range(tree_set.tree_count):
-        mode = tree_set.trees[k].mode
-        lengths = {q.length for q in mode}
-        for w in flatten_expands(tree_set, k):
-            for n in lengths:
-                if worst < n <= w.length and w.prefix(n) in mode:
-                    worst = n
+    for k, row in enumerate(tab.cwords):
+        mode = set(queries[k])
+        lengths = {n for n, _ in mode}
+        for clen, cval, point in row:
+            for qlen, qval in queries[point]:
+                wlen, wval = clen + qlen, cval << qlen | qval
+                for n in lengths:
+                    if worst < n <= wlen and (n, wval >> (wlen - n)) in mode:
+                        worst = n
     return worst
 
 
@@ -320,7 +383,7 @@ def is_full(tree_set):
     if tree_set.trees[0].mode != frozenset([EMPTY]):
         return False
     for k in range(tree_set.tree_count):
-        flat = flatten_expands(tree_set, k)
+        flat = frozenset().union(*expands(tree_set, k))
         if reduce_words(tree_set.trees[k].mode) != reduce_words(flat):
             return False
     return True

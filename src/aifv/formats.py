@@ -69,12 +69,15 @@ def loads_json(text):
         raise FormatError(f"unreadable JSON value: {exc}") from exc
 
 
-def loads_document(text):
-    """Parse a JSON document whose top level must be an object."""
-    doc = loads_json(text)
+def _object(doc):
     if not isinstance(doc, dict):
         raise FormatError("top-level document must be a JSON object")
     return doc
+
+
+def loads_document(text):
+    """Parse a JSON document whose top level must be an object."""
+    return _object(loads_json(text))
 
 
 def tree_set_to_doc(tree_set):
@@ -94,7 +97,7 @@ def tree_set_to_doc(tree_set):
 
 def parse_tree_set(doc):
     """Build a CodeTreeSet from a document dict; FormatError on misuse."""
-    if "trees" not in doc or not isinstance(doc["trees"], list) \
+    if "trees" not in _object(doc) or not isinstance(doc["trees"], list) \
             or not doc["trees"]:
         raise FormatError("document needs a non-empty 'trees' list")
     alphabet = doc.get("alphabet")
@@ -178,7 +181,7 @@ def parse_distribution(doc):
 
 def parse_conventional(doc):
     """Read conventional trees: kind, m, convention, symbols, trees."""
-    kind = doc.get("kind")
+    kind = _object(doc).get("kind")
     if kind not in ("aifv2", "aifvm"):
         raise FormatError("'kind' must be \"aifv2\" or \"aifvm\"")
     trees_doc = doc.get("trees")
@@ -231,7 +234,7 @@ def parse_vv_table(doc):
     [bits...]}; blocks map complete sequences to their codeword, either
     directly or as {"codeword": bits, "recurrence": state-key}.
     """
-    depth = doc.get("depth")
+    depth = _object(doc).get("depth")
     symbols = doc.get("symbols")
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise FormatError("'depth' must be an integer")

@@ -18,7 +18,7 @@ import itertools
 
 from .bitstring import (BitString, is_prefix, longest_common_prefix,
                         sort_key, strip_prefix)
-from .errors import CapExceeded, InvalidSet, MemberTooLong
+from .errors import CapExceeded, InvalidSet
 
 # all_strings refuses to materialize more than 2**ALL_STRINGS_CAP words
 ALL_STRINGS_CAP = 20
@@ -120,20 +120,6 @@ def all_strings(n, cap=ALL_STRINGS_CAP):
     if n > cap:
         raise CapExceeded(f"2**{n} strings exceed the cap of 2**{cap}")
     return frozenset(BitString(v, n) for v in range(1 << n))
-
-
-def expand_to_fixed_length(words, n):
-    """Replace every member w with all n-bit strings having prefix w."""
-    ws = _as_set(words)
-    out = []
-    for w in ws:
-        if w.length > n:
-            raise MemberTooLong(
-                f"member {w.text()!r} is longer than {n} bits")
-        pad = n - w.length
-        base = w.value << pad
-        out.extend(BitString(base | t, n) for t in range(1 << pad))
-    return frozenset(out)
 
 
 def enumerate_basic_modes(n, cap=BASIC_MODE_CAP):

@@ -113,7 +113,7 @@ def test_binary_round_trip_via_files(capsys, trees_path, tmp_path):
                      "--text", "a b b a a",
                      "--format", "binary", "--output", blob_path)
     assert code == 0
-    blob = open(blob_path, "rb").read()
+    blob = (tmp_path / "stream.bin").read_bytes()
     assert blob[:4] == b"AIFV"
     # auto format sniffs the magic and takes the length from the header
     code, out, _ = run(capsys, "decode", trees_path, "--input", blob_path)

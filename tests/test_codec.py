@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from aifv import codec
 from aifv.bitstring import BitString
-from aifv.codec import (decode, encode, encode_without_termination,
-                        max_realized_lookahead)
+from aifv.codec import decode, encode, max_realized_lookahead
 from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
@@ -48,7 +47,11 @@ def test_encode_result_invariant():
         best = min(ts.trees[result.final_tree].mode,
                    key=lambda w: (w.length, w.value))
         assert result.termination == best
-        assert encode_without_termination(ts, seq) == result.body
+        # the body is the codewords along the tree path
+        body, k = BitString(), 0
+        for x in seq:
+            body, k = body + ts.trees[k].cwords[x], ts.trees[k].points[x]
+        assert (result.body, result.final_tree) == (body, k)
 
 
 def test_empty_input_emits_only_termination():
@@ -90,7 +93,7 @@ def test_decode_zero_symbols():
 def test_truncated_mid_symbol():
     ts = examples.binary_delay3_set()
     # body of a single 'a' is empty; the stream ends inside the decision
-    assert encode_without_termination(ts, [0]) == bits("")
+    assert encode(ts, [0]).body == bits("")
     with pytest.raises(Truncated) as err:
         decode(ts, bits(""), 1)
     assert err.value.symbol_index == 0

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from aifv.bitstring import BitString, is_prefix, strip_prefix
 from aifv.codetree import (CodeTree, CodeTreeSet, check_delay_budget,
-                           decoding_delay, expand, expands, flatten_expands,
-                           is_full, reachable_trees, validate)
+                           decoding_delay, expand, expands, is_full,
+                           reachable_trees, validate)
 from aifv.errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                          Unvalidated)
 from aifv import examples
@@ -73,7 +73,6 @@ def test_expand_pinned_values():
     assert texts(expand(ts, 0, 1)) == ["00", "010"]
     assert [texts(w) for w in expands(ts, 1)] \
         == [["101", "11"], ["011", "100"]]
-    assert texts(flatten_expands(ts, 0)) == ["00", "010", "011", "1"]
     with pytest.raises(IndexOutOfRange):
         expand(ts, 0, 2)
     with pytest.raises(IndexOutOfRange):
@@ -210,10 +209,20 @@ def test_exactly_one_symbol_matches_each_expansion():
                     assert matched == [a]
 
 
+# a 1400-bit word for the long explicit cases below
+LONG = "01" * 700
+
+
 @st.composite
 def arbitrary_tree_sets(draw):
-    # short words make duplicates, nested modes and crossings common
+    # short words make duplicates, nested modes and crossings common;
+    # some sets also put one long shared stem in front of some words, so
+    # that the validator's integers run to 64-1500 bits
     word = st.text("01", max_size=3).map(bits)
+    stem_len = draw(st.sampled_from([0, 64, 1500]))
+    if stem_len:
+        stem = BitString(draw(st.integers(0, (1 << stem_len) - 1)), stem_len)
+        word = word | word.map(lambda w: stem + w)
     k = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     trees = [CodeTree(draw(st.lists(word, min_size=m, max_size=m)),
@@ -244,18 +253,48 @@ def assert_reports_match_oracle(ts):
     tree(["", "01"], [("0", 1), ("011", 0)]),
     tree(["", "01"], [("1", 0), ("", 1)]),
 ]))
+# the same long expanded word for symbols a and b, and a long mode
+# member nested under the empty one
+@example(CodeTreeSet([
+    tree([""], [(LONG, 1), (LONG, 1), ("1", 0)]),
+    tree(["", LONG], [("", 0), (LONG + "0", 0), (LONG + "1", 1)]),
+]))
 def test_validate_matches_pair_oracle(ts):
     assert_reports_match_oracle(ts)
 
 
+def stretch(ts, rng, width):
+    """ts with every bit b replaced by a width-bit block ``zero`` or ``one``.
+
+    The blocks are complements of each other, so they have equal length
+    and differ in their first bit: the map keeps every prefix and
+    comparability relation, so a valid set stays valid and its delay
+    grows width-fold.
+    """
+    zero = BitString(rng.getrandbits(width), width)
+    one = BitString(zero.value ^ ((1 << width) - 1), width)
+
+    def blocks(w):
+        out = BitString()
+        for b in w:
+            out = out + (one if b else zero)
+        return out
+
+    return CodeTreeSet([CodeTree([blocks(w) for w in t.cwords], t.points,
+                                 [blocks(q) for q in t.mode])
+                        for t in ts.trees], ts.symbols)
+
+
 @settings(deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_validate_and_delay_match_oracles_on_generated_sets(rng):
-    ts = random_valid_tree_set(rng)
+@given(st.randoms(use_true_random=False), st.sampled_from([1, 64, 300]))
+def test_validate_and_delay_match_oracles_on_generated_sets(rng, width):
+    # width 64 and 300 stretch the words to 64-1500 bits
+    base = random_valid_tree_set(rng)
+    ts = stretch(base, rng, width)
     assert_reports_match_oracle(ts)
-    assert decoding_delay(ts) == max(
+    assert decoding_delay(ts) == width * decoding_delay(base) == max(
         q.length for k, t in enumerate(ts.trees) for q in t.mode
-        if any(is_prefix(q, w) for w in flatten_expands(ts, k)))
+        if any(is_prefix(q, w) for ws in expands(ts, k) for w in ws))
     assert_reports_match_oracle(mutate_tree_set(rng, ts))
 
 

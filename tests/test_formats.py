@@ -5,6 +5,7 @@ import sys
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
 from aifv.errors import FormatError
@@ -99,6 +100,30 @@ def test_document_parse_errors():
         loads_document("{not json")
     with pytest.raises(FormatError):
         loads_document("[1, 2]")
+
+
+# keys the three parsers read, so that generated documents get past the
+# first checks; any other string is a key too
+PARSER_KEYS = ["alphabet", "trees", "name", "mode", "codewords", "next",
+               "kind", "m", "convention", "symbols", "depth", "states",
+               "blocks", "lcword", "follow", "codeword", "recurrence"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text("01", max_size=4) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(PARSER_KEYS) | st.text(), inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_values)
+def test_parsers_end_in_a_result_or_format_error(doc):
+    for parse in (parse_tree_set, parse_vv_table, parse_conventional):
+        try:
+            parse(doc)
+        except FormatError:
+            pass
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

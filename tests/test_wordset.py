@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
-from aifv.errors import CapExceeded, InvalidSet, MemberTooLong
+from aifv.errors import CapExceeded, InvalidSet
 from aifv.wordset import (all_strings, common_prefix, enumerate_basic_modes,
-                          expand_to_fixed_length, in_full_closure,
-                          is_prefix_free, reduce, to_basic_mode)
+                          in_full_closure, is_prefix_free, reduce,
+                          to_basic_mode)
 from aifv import examples
 
 from conftest import (bits, closure_oracle, interval, random_word_set,
@@ -156,22 +156,6 @@ def test_all_strings():
         all_strings(5, cap=4)
     with pytest.raises(ValueError):
         all_strings(-1)
-
-
-def test_expand_to_fixed_length():
-    assert texts(expand_to_fixed_length(words("0", "11"), 2)) \
-        == ["00", "01", "11"]
-    assert texts(expand_to_fixed_length(words("01"), 2)) == ["01"]
-    with pytest.raises(MemberTooLong):
-        expand_to_fixed_length(words("011"), 2)
-
-
-def test_expand_to_fixed_length_preserves_reduction():
-    rng = random.Random(SEED + 4)
-    for _ in range(200):
-        ws = random_word_set(rng, max_len=4, max_words=5)
-        n = max(w.length for w in ws) + rng.randint(0, 2)
-        assert reduce(expand_to_fixed_length(ws, n)) == reduce(ws)
 
 
 def test_enumerate_basic_modes_census():
