@@ -3,9 +3,12 @@
 Tree switching makes the encoder a Markov chain over tree ids: the
 chance of hopping from tree k to tree j is the total probability of
 the symbols tree k sends to j.  The expected code length per source
-symbol is the stationary average of each tree's mean codeword length.
-A Monte Carlo path through the chain gives an empirical rate to check
-the closed-form number against.
+symbol is the long-run average of each tree's mean codeword length,
+weighted by the share of time the encoder spends in each tree.  That
+share is the Cesaro limit of the chain started in tree 0, solved
+exactly from the chain's closed classes, so periodic and slowly mixing
+chains need no iteration.  A Monte Carlo path through the chain gives
+an empirical rate to check the closed-form number against.
 """
 
 from __future__ import annotations
@@ -14,14 +17,18 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import DimensionMismatch
 
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITER = 10 ** 6
 # monte_carlo_rate draws symbols in blocks of this size, so memory stays
 # bounded however long the sample; the generator yields the same
 # sequence whatever the block size
 MC_BLOCK = 1 << 16
+
+
+def _check_probabilities(dist):
+    # written so that NaN fails it
+    if not (all(p >= 0 for p in dist) and abs(sum(dist) - 1.0) <= 1e-9):
+        raise ValueError("probabilities must be non-negative and sum to 1")
 
 
 def _check_dist(tree_set, dist):
@@ -29,8 +36,7 @@ def _check_dist(tree_set, dist):
     if len(dist) != tree_set.symbol_count:
         raise DimensionMismatch(
             f"{len(dist)} probabilities for {tree_set.symbol_count} symbols")
-    if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
-        raise ValueError("probabilities must be non-negative and sum to 1")
+    _check_probabilities(dist)
     return dist
 
 
@@ -45,32 +51,93 @@ def transition_matrix(tree_set, dist):
     return matrix
 
 
-def stationary(matrix, tol=STATIONARY_TOL, max_iter=STATIONARY_MAX_ITER):
-    """A stationary distribution of a row-stochastic matrix.
+def _components(n, rows, cols):
+    """Label each of n states with its strongly connected component.
 
-    Power iteration from the point mass on state 0, accepting either a
-    settled iterate or a settled running (Cesaro) average; the average
-    also converges for periodic chains, where the raw iterates cannot.
+    The edges run from ``rows[i]`` to ``cols[i]``.  Kosaraju's two
+    depth-first passes keep their own stacks, so a long chain of states
+    cannot hit Python's recursion limit.  Each component is labelled
+    with the index of one of its own states.
+    """
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for v, w in zip(rows, cols):
+        succ[v].append(w)
+        pred[w].append(v)
+    seen = [False] * n
+    order = []  # states in the order a depth-first search finishes them
+    for root in range(n):
+        stack = [(root, False)]
+        while stack:
+            v, finished = stack.pop()
+            if finished:
+                order.append(v)
+            elif not seen[v]:
+                seen[v] = True
+                stack.append((v, True))
+                stack.extend((w, False) for w in succ[v])
+    label = [-1] * n
+    for root in reversed(order):
+        if label[root] < 0:
+            label[root] = root
+            todo = [root]
+            while todo:
+                for w in pred[todo.pop()]:
+                    if label[w] < 0:
+                        label[w] = root
+                        todo.append(w)
+    return np.array(label)
+
+
+def stationary(matrix):
+    """Long-run share of time in each state of a chain started in state 0.
+
+    This is the Cesaro limit of row 0 of P^t, which exists for every
+    finite chain, periodic and reducible ones included (Kemeny & Snell,
+    *Finite Markov Chains*, 1960).  The support ``matrix > 0`` alone
+    decides which states are transient and which form closed classes:
+    transient states get 0, and each closed class gets its own
+    stationary vector scaled by the chance that the chain, started in
+    state 0, is absorbed into it.  Both come from direct linear solves,
+    with no iteration and no tolerance.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("transition matrix must be square")
-    if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
+    if not (np.all(matrix >= 0)
+            and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("matrix rows must be probability distributions")
-    n = matrix.shape[0]
-    vec = np.zeros(n)
-    vec[0] = 1.0
-    total = vec.copy()
-    for step in range(1, max_iter + 1):
-        nxt = vec @ matrix
-        if np.abs(nxt - vec).sum() < tol:
-            return nxt / nxt.sum()
-        total += nxt
-        mean = total / (step + 1)
-        if np.abs(mean @ matrix - mean).sum() < tol:
-            return mean / mean.sum()
-        vec = nxt
-    raise NoConvergence(f"no stationary vector after {max_iter} steps")
+    n = len(matrix)
+    rows, cols = np.nonzero(matrix > 0)
+    label = _components(n, rows.tolist(), cols.tolist())
+    # a class is closed when no positive entry leads out of it
+    leaks = np.zeros(n, dtype=bool)
+    leaks[label[rows[label[rows] != label[cols]]]] = True
+    transient = leaks[label]
+    closed = ~transient
+    # P - I, with each diagonal entry taken as minus the rest of its row,
+    # so a small chance of moving is not lost by rounding against 1
+    step = matrix.copy()
+    np.fill_diagonal(step, 0.0)
+    np.fill_diagonal(step, -step.sum(axis=1))
+    start = np.zeros(n)
+    start[0] = 1.0
+    # where the chain first enters the closed states, from state 0
+    absorb = np.linalg.solve(-step[np.ix_(transient, transient)],
+                             matrix[np.ix_(transient, closed)])
+    entry = start[closed] + start[transient] @ absorb
+    # the balance equations of the closed states, where the equation of
+    # each class's label state gives way to the mass entering the class
+    label = label[closed]
+    head = label == np.flatnonzero(closed)
+    members = label[head, None] == label
+    system = step[np.ix_(closed, closed)].T
+    system[head] = members
+    rhs = np.zeros(len(label))
+    rhs[head] = members @ entry
+    pi = np.zeros(n)
+    pi[closed] = np.linalg.solve(system, rhs)
+    return pi
 
 
 def expected_code_length(tree_set, dist):
@@ -86,8 +153,7 @@ def expected_code_length(tree_set, dist):
 def entropy(dist):
     """Shannon entropy of a distribution, in bits per symbol."""
     dist = [float(p) for p in dist]
-    if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
-        raise ValueError("probabilities must be non-negative and sum to 1")
+    _check_probabilities(dist)
     return -sum(p * math.log2(p) for p in dist if p > 0)
 
 

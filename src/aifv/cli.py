@@ -143,8 +143,6 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     tree_set = _load_tree_set(args.trees)
     if args.bits is not None:
-        if any(ch not in "01" for ch in args.bits):
-            raise FormatError("--bits takes a string of 0s and 1s")
         bits = bitstring.BitString.from_text(args.bits)
         length = args.length
     else:
@@ -157,10 +155,7 @@ def _cmd_decode(args):
             if args.length is not None:
                 length = args.length
         else:
-            text = data.decode("utf-8").strip()
-            if any(ch not in "01" for ch in text):
-                raise FormatError("input is not a string of 0s and 1s")
-            bits = bitstring.BitString.from_text(text)
+            bits = bitstring.BitString.from_text(data.decode("utf-8").strip())
             length = args.length
     if length is None:
         raise FormatError("a symbol count is required: pass --length")

@@ -74,9 +74,5 @@ class DimensionMismatch(AifvError):
     """Two objects that must share a dimension do not."""
 
 
-class NoConvergence(AifvError):
-    """An iterative computation hit its iteration cap."""
-
-
 class FormatError(AifvError):
     """A document or byte stream cannot be parsed."""

@@ -225,3 +225,67 @@ def mutate_tree_set(rng, tree_set):
         mode.add(BitString(rng.getrandbits(n), n))
     trees[k] = CodeTree(cwords, points, mode)
     return CodeTreeSet(trees, tree_set.symbols)
+
+
+def _solve_exact(a, b):
+    """x with a x = b for a nonsingular Fraction matrix (Gauss-Jordan)."""
+    n = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def closed_classes_oracle(matrix):
+    """The closed classes of a chain, as sorted lists of states.
+
+    A depth-first search from every state gives its reach; a state lies
+    in a closed class iff every state it reaches reaches it back, and
+    then its reach is that class.
+    """
+    n = len(matrix)
+    reach = []
+    for s in range(n):
+        seen, todo = {s}, [s]
+        while todo:
+            v = todo.pop()
+            for w in range(n):
+                if matrix[v][w] > 0 and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return sorted({tuple(sorted(reach[s])) for s in range(n)
+                   if all(s in reach[w] for w in reach[s])})
+
+
+def stationary_oracle(matrix):
+    """The Cesaro limit of a chain started in state 0, as Fractions.
+
+    Exact: every float is a dyadic rational, so ``Fraction(float)``
+    loses nothing.  Expected visits to the transient states come from
+    one elimination; each closed class gets its own stationary vector
+    (balance equations with one replaced by a sum of 1), times the
+    probability of entering that class from state 0.
+    """
+    P = [[Fraction(x) for x in row] for row in matrix]
+    n = len(P)
+    classes = closed_classes_oracle(matrix)
+    transient = sorted(set(range(n)).difference(*classes))
+    visits = dict(zip(transient, _solve_exact(
+        [[Fraction(t == u) - P[u][t] for u in transient] for t in transient],
+        [Fraction(t == 0) for t in transient])))
+    pi = [Fraction(0)] * n
+    for members in classes:
+        mass = Fraction(0 in members) + sum(
+            visits[t] * P[t][j] for t in transient for j in members)
+        a = [[P[i][j] - (i == j) for i in members] for j in members]
+        a[-1] = [Fraction(1)] * len(members)
+        b = [Fraction(0)] * (len(members) - 1) + [Fraction(1)]
+        for s, p in zip(members, _solve_exact(a, b)):
+            pi[s] = mass * p
+    return pi

@@ -1,5 +1,8 @@
 """Markov-chain rate analysis: matrices, stationary vectors, rates."""
 
+import time
+
+from hypothesis import Phase, find, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -7,12 +10,12 @@ from aifv import analysis
 from aifv.analysis import (entropy, expected_code_length, monte_carlo_rate,
                            stationary, transition_matrix)
 from aifv.codetree import CodeTree, CodeTreeSet
-from aifv.errors import DimensionMismatch, NoConvergence
+from aifv.errors import DimensionMismatch
 from aifv.formats import parse_conventional
 from aifv.transform import import_aifvm
 from aifv import examples
 
-from conftest import bits
+from conftest import bits, closed_classes_oracle, stationary_oracle
 
 UNIFORM2 = [0.5, 0.5]
 
@@ -66,12 +69,113 @@ def test_stationary_rejects_bad_matrices():
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
-def test_stationary_reports_nonconvergence():
-    # a slow-mixing chain cannot settle in a handful of iterations
-    slow = np.array([[0.99, 0.01], [0.01, 0.99]])
-    with pytest.raises(NoConvergence):
-        stationary(slow, max_iter=3)
-    assert stationary(slow) == pytest.approx([0.5, 0.5], abs=1e-9)
+def test_stationary_exact_on_slow_mixing_chain():
+    # each tree stays put on 'a' and hops to the other on 'b', so a
+    # rare 'b' makes the chain mix slowly
+    ts = CodeTreeSet([
+        CodeTree([bits("0"), bits("1")], [0, 1], [bits("")]),
+        CodeTree([bits("0"), bits("1")], [1, 0], [bits("")]),
+    ])
+    dist = [1 - 1e-7, 1e-7]
+    started = time.perf_counter()
+    rate = expected_code_length(ts, dist)
+    elapsed = time.perf_counter() - started
+    assert rate == pytest.approx(1.0, abs=1e-9)
+    assert elapsed < 0.1
+    P = transition_matrix(ts, dist)
+    assert stationary(P) == pytest.approx(
+        [float(p) for p in stationary_oracle(P)], abs=1e-9)
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    # one periodic class through all four states
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [.25, 0, .75, 0]],
+     [.1, .1, .4, .4]),
+    # a transient start that feeds a period-2 class, directly and
+    # through two more transient states
+    ([[.125, .25, .125, .25, .25], [0, 0, 0, 0, 1], [0, 1, 0, 0, 0],
+      [0, 0, 0, 0, 1], [0, 1, 0, 0, 0]],
+     [0, .5, 0, 0, .5]),
+    # two closed classes, one of them periodic, entered 3:1 from state 0
+    ([[0, .75, 0, .25], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+     [0, .375, .375, .25]),
+])
+def test_stationary_explicit_chains(matrix, expected):
+    assert stationary(matrix) == pytest.approx(expected, abs=1e-12)
+    assert [float(p) for p in stationary_oracle(matrix)] == expected
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[1.0, 1e-17], [1e-17, 1.0]], [0.5, 0.5]),
+    ([[1.0, 1e-17], [0.0, 1.0]], [0.0, 1.0]),
+])
+def test_stationary_keeps_probabilities_below_rounding(matrix, expected):
+    # 1 - 1e-17 rounds to 1, yet the support says both chains move on
+    assert stationary(matrix) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def chains(draw):
+    """Row-stochastic matrices with dyadic entries and many zeros.
+
+    Each state draws a group: a state of group 0 may hop anywhere, one
+    of group g > 0 only inside group g, sometimes along a single cycle.
+    That gives several closed classes, periodic classes and transient
+    states, state 0 among them, alongside arbitrary supports.
+    """
+    n = draw(st.integers(1, 7))
+    group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    matrix = []
+    for s in range(n):
+        allowed = [t for t in range(n)
+                   if group[s] == 0 or group[t] == group[s]]
+        if group[s] and draw(st.booleans()):
+            later = [t for t in allowed if t > s]
+            support = [later[0] if later else allowed[0]]
+        else:
+            support = draw(st.lists(st.sampled_from(allowed), min_size=1,
+                                    max_size=len(allowed), unique=True))
+        cuts = draw(st.lists(st.integers(1, 63), min_size=len(support) - 1,
+                             max_size=len(support) - 1, unique=True))
+        bounds = [0] + sorted(cuts) + [64]
+        row = [0.0] * n
+        for t, lo, hi in zip(support, bounds, bounds[1:]):
+            row[t] = (hi - lo) / 64
+        matrix.append(row)
+    return matrix
+
+
+@settings(deadline=None)
+@given(chains())
+def test_stationary_matches_exact_oracle(matrix):
+    expected = [float(p) for p in stationary_oracle(matrix)]
+    assert stationary(matrix) == pytest.approx(expected, abs=1e-9)
+
+
+def _cycle_class(matrix, members):
+    return len(members) > 1 and all(
+        sum(p > 0 for p in matrix[s]) == 1 for s in members)
+
+
+@pytest.mark.parametrize("feature", [
+    lambda m, classes: len(classes) >= 3,
+    lambda m, classes: any(_cycle_class(m, c) for c in classes),
+    lambda m, classes: not any(0 in c for c in classes) and len(classes) > 1,
+], ids=["three-closed-classes", "periodic-class", "transient-start"])
+def test_chains_cover_the_hard_cases(feature):
+    # the strategy above reaches each case, so the oracle test sees it
+    find(chains(), lambda m: feature(m, closed_classes_oracle(m)),
+         settings=settings(database=None, phases=[Phase.generate]))
+
+
+def test_nan_probabilities_are_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        entropy([nan, nan])
+    with pytest.raises(ValueError):
+        expected_code_length(examples.binary_delay3_set(), [nan, nan])
+    with pytest.raises(ValueError):
+        stationary([[nan, nan], [0.5, 0.5]])
 
 
 def test_expected_code_length_binary_uniform():

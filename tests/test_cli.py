@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -131,6 +132,10 @@ def test_ascii_file_round_trip(capsys, trees_path, tmp_path):
     code, out, _ = run(capsys, "decode", trees_path, "--input", bits_path,
                        "--length", "3")
     assert (code, out) == (0, "b a b\n")
+    (tmp_path / "stream.txt").write_text("10 1\n")
+    code, _, err = run(capsys, "decode", trees_path, "--input", bits_path,
+                       "--length", "3")
+    assert code == 2 and "error:" in err
 
 
 def test_reduce_outputs_basic_document(capsys, tmp_path):
@@ -186,6 +191,35 @@ def test_analyze_takes_a_bare_list_distribution(capsys, trees_path,
     code, _, err = run(capsys, "analyze", str(set_path),
                        "--dist", str(dist_path))
     assert code == 2 and "JSON object" in err
+
+
+def test_analyze_periodic_set(capsys, tmp_path):
+    # tree 0 leaves for tree 1 or 2 for good, and those two swap on
+    # every symbol: a valid set whose chain has period 2
+    trees = tmp_path / "periodic.json"
+    trees.write_text(json.dumps({"alphabet": ["a", "b"], "trees": [
+        {"mode": [""], "codewords": ["0", "1"], "next": [1, 2]},
+        {"mode": [""], "codewords": ["0", "1"], "next": [2, 2]},
+        {"mode": [""], "codewords": ["00", "1"], "next": [1, 1]},
+    ]}))
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[0.75, 0.25]\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", str(trees), "--dist",
+                       str(dist_path), "--json")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["expected_code_length"] == pytest.approx(1.375, abs=1e-12)
+    assert stats["stationary"] == pytest.approx([0, 0.5, 0.5], abs=1e-12)
+
+
+def test_analyze_rejects_nan_probabilities(capsys, trees_path, tmp_path):
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[NaN, NaN]\n")
+    code, _, err = run(capsys, "analyze", trees_path,
+                       "--dist", str(dist_path))
+    assert code == 2 and "probabilities" in err
 
 
 def test_import_and_validate_output(capsys, tmp_path):

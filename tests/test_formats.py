@@ -3,6 +3,7 @@
 import json
 import sys
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,3 +234,23 @@ def test_bitstream_corruption_detected():
     # extra trailing bytes are not part of the frame
     with pytest.raises(FormatError):
         read_bitstream(blob + b"\x00")
+
+
+# a version-1 header whose bit count is small, so the bytes after it can
+# be a well-formed payload
+small_headers = st.builds(
+    lambda count, nbits: b"AIFV\x01" + struct.pack("<QQ", count, nbits),
+    st.integers(0, 2 ** 64 - 1), st.integers(0, 40))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from([b"", b"AIFV", b"AIFV\x01", b"AIFV\x02"]),
+                 small_headers),
+       st.binary(max_size=40))
+def test_read_bitstream_ends_in_a_result_or_format_error(lead, rest):
+    data = lead + rest
+    try:
+        bits_read, count = read_bitstream(data)
+    except FormatError:
+        return
+    assert write_bitstream(bits_read, count) == data
