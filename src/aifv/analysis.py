@@ -9,13 +9,16 @@ share is the Cesaro limit of the chain started in tree 0, solved
 exactly from the chain's closed classes, so periodic and slowly mixing
 chains need no iteration.  A Monte Carlo path through the chain gives
 an empirical rate to check the closed-form number against.
+
+numpy is imported inside the functions that compute a rate, so
+importing the package, and every CLI command but ``analyze``, does not
+pay numpy's start-up cost.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import DimensionMismatch
 
@@ -26,9 +29,12 @@ MC_BLOCK = 1 << 16
 
 
 def _check_probabilities(dist):
-    # written so that NaN fails it
-    if not (all(p >= 0 for p in dist) and abs(sum(dist) - 1.0) <= 1e-9):
-        raise ValueError("probabilities must be non-negative and sum to 1")
+    # written so that NaN fails it; a subnormal probability is refused
+    # because the linear solves in stationary turn it into NaN
+    if not (all(p == 0 or p >= sys.float_info.min for p in dist)
+            and abs(sum(dist) - 1.0) <= 1e-9):
+        raise ValueError("probabilities must be zero or normal positive "
+                         "floats and sum to 1")
 
 
 def _check_dist(tree_set, dist):
@@ -42,6 +48,7 @@ def _check_dist(tree_set, dist):
 
 def transition_matrix(tree_set, dist):
     """Row-stochastic matrix of tree-to-tree hop probabilities."""
+    import numpy as np
     dist = _check_dist(tree_set, dist)
     n = tree_set.tree_count
     matrix = np.zeros((n, n))
@@ -86,7 +93,7 @@ def _components(n, rows, cols):
                     if label[w] < 0:
                         label[w] = root
                         todo.append(w)
-    return np.array(label)
+    return label
 
 
 def stationary(matrix):
@@ -101,15 +108,17 @@ def stationary(matrix):
     state 0, is absorbed into it.  Both come from direct linear solves,
     with no iteration and no tolerance.
     """
+    import numpy as np
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("transition matrix must be square")
-    if not (np.all(matrix >= 0)
+    # as in _check_probabilities, NaN and subnormal entries fail
+    if not (np.all((matrix == 0) | (matrix >= sys.float_info.min))
             and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("matrix rows must be probability distributions")
     n = len(matrix)
     rows, cols = np.nonzero(matrix > 0)
-    label = _components(n, rows.tolist(), cols.tolist())
+    label = np.array(_components(n, rows.tolist(), cols.tolist()))
     # a class is closed when no positive entry leads out of it
     leaks = np.zeros(n, dtype=bool)
     leaks[label[rows[label[rows] != label[cols]]]] = True
@@ -142,6 +151,7 @@ def stationary(matrix):
 
 def expected_code_length(tree_set, dist):
     """Mean body bits per source symbol in the long run."""
+    import numpy as np
     tree_set.ensure_valid()
     dist = _check_dist(tree_set, dist)
     pi = stationary(transition_matrix(tree_set, dist))
@@ -159,6 +169,7 @@ def entropy(dist):
 
 def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
     """Empirical body bits per symbol over one random i.i.d. sequence."""
+    import numpy as np
     tree_set.ensure_valid()
     dist = _check_dist(tree_set, dist)
     if n_symbols < 0:

@@ -5,7 +5,10 @@ re-derive prefix-closure facts from exact Fraction interval covering,
 so a bug in the fast paths cannot hide behind itself.
 """
 
+import struct
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from aifv.bitstring import BitString, sort_key
 from aifv.codec import DecodeTrace
@@ -20,6 +23,26 @@ MODE_POOL = [
     ["01", "1"], ["01", "10"], ["01", "11"],
     ["011", "100"], ["1", "011"], ["10", "11"], ["000", "001", "01"],
 ]
+
+# keys the three document parsers read, so that generated documents get
+# past the first checks; any other string is a key too
+PARSER_KEYS = ["alphabet", "trees", "name", "mode", "codewords", "next",
+               "kind", "m", "convention", "symbols", "depth", "states",
+               "blocks", "lcword", "follow", "codeword", "recurrence"]
+
+# arbitrary JSON values, as json.loads could return them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text("01", max_size=4) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(PARSER_KEYS) | st.text(), inner, max_size=5),
+    max_leaves=30)
+
+# a version-1 stream header whose bit count is small, so the bytes after
+# it can be a well-formed payload
+small_headers = st.builds(
+    lambda count, nbits: b"AIFV\x01" + struct.pack("<QQ", count, nbits),
+    st.integers(0, 2 ** 64 - 1), st.integers(0, 40))
 
 
 def bits(text):

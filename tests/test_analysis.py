@@ -178,6 +178,29 @@ def test_nan_probabilities_are_rejected():
         stationary([[nan, nan], [0.5, 0.5]])
 
 
+def test_subnormal_probabilities_are_rejected():
+    # tree 0 leaves for tree 1 on 'b', and trees 1 and 2 swap on 'b';
+    # a subnormal chance of 'b' once made the solve return NaN
+    ts = CodeTreeSet([
+        CodeTree([bits("0"), bits("1")], [0, 1], [bits("")]),
+        CodeTree([bits("0"), bits("1")], [1, 2], [bits("")]),
+        CodeTree([bits("0"), bits("1")], [2, 1], [bits("")]),
+    ])
+    tiny = [1.0, 1e-300]
+    assert stationary(transition_matrix(ts, tiny)) \
+        == pytest.approx([0, 0.5, 0.5], abs=1e-12)
+    assert expected_code_length(ts, tiny) == pytest.approx(1.0, abs=1e-12)
+    subnormal = [1.0, 5e-324]
+    for call in (lambda: entropy(subnormal),
+                 lambda: transition_matrix(ts, subnormal),
+                 lambda: expected_code_length(ts, subnormal),
+                 lambda: monte_carlo_rate(ts, subnormal, 10),
+                 lambda: stationary([[1.0, 0.0, 5e-324], [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_expected_code_length_binary_uniform():
     E = expected_code_length(examples.binary_delay3_set(), UNIFORM2)
     assert E == pytest.approx(1.05, abs=1e-9)

@@ -3,7 +3,6 @@
 import json
 import sys
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,8 @@ from aifv.formats import (dumps_document, loads_document, parse_conventional,
                           read_bitstream, tree_set_to_doc, write_bitstream)
 from aifv import examples
 
-from conftest import bits, random_valid_tree_set
+from conftest import (bits, json_values, random_valid_tree_set,
+                      small_headers)
 
 SEED = 20240816
 
@@ -101,20 +101,6 @@ def test_document_parse_errors():
         loads_document("{not json")
     with pytest.raises(FormatError):
         loads_document("[1, 2]")
-
-
-# keys the three parsers read, so that generated documents get past the
-# first checks; any other string is a key too
-PARSER_KEYS = ["alphabet", "trees", "name", "mode", "codewords", "next",
-               "kind", "m", "convention", "symbols", "depth", "states",
-               "blocks", "lcword", "follow", "codeword", "recurrence"]
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text("01", max_size=4) | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(PARSER_KEYS) | st.text(), inner, max_size=5),
-    max_leaves=30)
 
 
 @settings(deadline=None, max_examples=300)
@@ -234,13 +220,6 @@ def test_bitstream_corruption_detected():
     # extra trailing bytes are not part of the frame
     with pytest.raises(FormatError):
         read_bitstream(blob + b"\x00")
-
-
-# a version-1 header whose bit count is small, so the bytes after it can
-# be a well-formed payload
-small_headers = st.builds(
-    lambda count, nbits: b"AIFV\x01" + struct.pack("<QQ", count, nbits),
-    st.integers(0, 2 ** 64 - 1), st.integers(0, 40))
 
 
 @settings(deadline=None)
