@@ -151,13 +151,18 @@ def stationary(matrix):
 
 def expected_code_length(tree_set, dist):
     """Mean body bits per source symbol in the long run."""
+    return rate_and_stationary(tree_set, dist)[0]
+
+
+def rate_and_stationary(tree_set, dist):
+    """The expected code length and the stationary vector, one solve."""
     import numpy as np
     tree_set.ensure_valid()
     dist = _check_dist(tree_set, dist)
     pi = stationary(transition_matrix(tree_set, dist))
     per_tree = [sum(p * w.length for p, w in zip(dist, tree.cwords))
                 for tree in tree_set.trees]
-    return float(np.dot(pi, per_tree))
+    return float(np.dot(pi, per_tree)), pi
 
 
 def entropy(dist):

@@ -1,15 +1,16 @@
-"""Binary strings and their dyadic-interval geometry.
+"""Binary strings and the prefix relations between them.
 
 A BitString is an immutable MSB-first bit sequence stored as a
 (value, length) pair.  The empty string (written '' in text form) is a
 valid value and acts as the neutral element for concatenation.
 
 Every bit string w also names the half-open interval of real numbers in
-[0, 1) whose binary expansion starts with w.  Two strings are
-prefix-comparable exactly when their intervals intersect, and w1 is a
-prefix of w2 exactly when the interval of w1 contains the interval of
-w2.  ``interval`` gives the endpoints exactly, as integers on a common
-scale 2**n.
+[0, 1) whose binary expansion starts with w: [value, value + 1) on the
+scale 2**length.  Two strings are prefix-comparable exactly when their
+intervals intersect, and w1 is a prefix of w2 exactly when the interval
+of w1 contains the interval of w2.  ``is_prefix`` and ``comparable``
+test the (length, value) pairs directly; ``codetree.validate`` can
+compare the integer intervals themselves.
 """
 
 from __future__ import annotations
@@ -59,40 +60,17 @@ class BitString:
     def __hash__(self):
         return hash((self.value, self.length))
 
-    def __iter__(self):
-        for i in range(self.length):
-            yield (self.value >> (self.length - 1 - i)) & 1
-
-    def __getitem__(self, i):
-        return self.bit(i)
-
-    def bit(self, i):
-        """Bit at position i, counting from the most significant end."""
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> (self.length - 1 - i)) & 1
-
     def __add__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
         return BitString((self.value << other.length) | other.value,
                          self.length + other.length)
 
-    def append(self, bit):
-        return BitString((self.value << 1) | (bit & 1), self.length + 1)
-
     def prefix(self, n):
         """The first n bits."""
         if not 0 <= n <= self.length:
             raise ValueError(f"prefix length {n} out of range")
         return BitString(self.value >> (self.length - n), n)
-
-    def suffix(self, n):
-        """Everything after the first n bits."""
-        if not 0 <= n <= self.length:
-            raise ValueError(f"suffix start {n} out of range")
-        return BitString(self.value & ((1 << (self.length - n)) - 1),
-                         self.length - n)
 
 
 EMPTY = BitString(0, 0)
@@ -106,11 +84,6 @@ def sort_key(w):
 def is_prefix(w1, w2):
     """True when w1 is a (not necessarily proper) prefix of w2."""
     return w1.length <= w2.length and \
-        (w2.value >> (w2.length - w1.length)) == w1.value
-
-
-def is_strict_prefix(w1, w2):
-    return w1.length < w2.length and \
         (w2.value >> (w2.length - w1.length)) == w1.value
 
 
@@ -140,14 +113,3 @@ def longest_common_prefix(w1, w2):
         n -= 1
     return BitString(a, n)
 
-
-def interval(w, n):
-    """The interval of w on the integer scale 2**n, as (lo, hi).
-
-    Every real number whose binary expansion starts with w lies in
-    [lo / 2**n, hi / 2**n); n must be at least len(w).  On one common
-    scale, comparability is overlap and the prefix relation is
-    containment of these integer pairs.
-    """
-    shift = n - w.length
-    return w.value << shift, (w.value + 1) << shift

@@ -15,8 +15,7 @@ import argparse
 import os
 import sys
 
-from .analysis import (entropy, expected_code_length, monte_carlo_rate,
-                       stationary, transition_matrix)
+from .analysis import entropy, monte_carlo_rate, rate_and_stationary
 from .codec import decode, encode
 from .codetree import check_delay_budget, decoding_delay, validate
 from .errors import AifvError, FormatError, MemberTooLong
@@ -178,8 +177,7 @@ def _cmd_analyze(args):
     dist = parse_distribution(loads_json(_read_text(args.dist)))
     delay = decoding_delay(tree_set)
     h = entropy(dist)
-    rate = expected_code_length(tree_set, dist)
-    pi = stationary(transition_matrix(tree_set, dist))
+    rate, pi = rate_and_stationary(tree_set, dist)
     mc = None
     if args.mc:
         mc = monte_carlo_rate(tree_set, dist, args.mc, args.seed)

@@ -215,23 +215,6 @@ class ValidationReport:
         return f"ValidationReport({self.method}, {state})"
 
 
-def expand(tree_set, k, a):
-    """Expanded codewords of symbol a at tree k."""
-    tree = tree_set.trees[k]
-    if not 0 <= a < tree.symbol_count:
-        raise IndexOutOfRange(f"symbol id {a} out of range")
-    cword = tree.cwords[a]
-    return frozenset(cword + q for q in tree_set.trees[tree.points[a]].mode)
-
-
-def expands(tree_set, k):
-    """Expanded codewords of every symbol at tree k, indexed by symbol."""
-    if not 0 <= k < tree_set.tree_count:
-        raise IndexOutOfRange(f"tree id {k} out of range")
-    return [expand(tree_set, k, a)
-            for a in range(tree_set.symbol_count)]
-
-
 def reachable_trees(tree_set):
     """Ids of every tree reachable from tree 0 via successor hops."""
     seen = {0}
@@ -377,14 +360,19 @@ def is_full(tree_set):
 
     A full set wastes no code space: tree 0 can start with any bit
     pattern, and each tree's mode reduces to the same frontier as the
-    set of streams actually leaving that tree.
+    set of streams actually leaving that tree.  Those streams begin
+    with the tree's expanded words, read off the set's integer table
+    as ``validate`` reads them.
     """
     tree_set.ensure_valid()
     if tree_set.trees[0].mode != frozenset([EMPTY]):
         return False
-    for k in range(tree_set.tree_count):
-        flat = frozenset().union(*expands(tree_set, k))
-        if reduce_words(tree_set.trees[k].mode) != reduce_words(flat):
+    tab = table(tree_set)
+    for tree, row in zip(tree_set.trees, tab.cwords):
+        flat = [BitString(cval << qlen | qval, clen + qlen)
+                for clen, cval, point in row
+                for qlen, qval in tab.queries[point]]
+        if reduce_words(tree.mode) != reduce_words(flat):
             return False
     return True
 

@@ -42,9 +42,12 @@ _HEADER = struct.Struct("<QQ")
 
 
 def _bits_from_text(text, where):
-    if not isinstance(text, str) or any(c not in "01" for c in text):
-        raise FormatError(f"{where}: expected a string of bits, got {text!r}")
-    return BitString.from_text(text)
+    if isinstance(text, str):
+        try:
+            return BitString.from_text(text)
+        except ValueError:
+            pass
+    raise FormatError(f"{where}: expected a string of bits, got {text!r}")
 
 
 def _word_list(words):

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bitstring import (BitString, EMPTY, is_prefix, is_strict_prefix,
-                        strip_prefix)
+from .bitstring import EMPTY, is_prefix, strip_prefix
 from .codec import encode
 from .codetree import CodeTree, CodeTreeSet, validate
 from .errors import DepthExceeded, NormalizationFailed, StructureViolation
@@ -179,7 +178,8 @@ def _normalize_vv(table):
                     word = lcwords[child]
                     if is_prefix(base, word):
                         continue
-                    if is_strict_prefix(word, base):
+                    # base is no prefix of word, so this prefix is proper
+                    if is_prefix(word, base):
                         # prefer raising the child onto the parent's prefix
                         if all(is_prefix(base, word + f)
                                for f in follows[child]):
@@ -198,7 +198,7 @@ def _normalize_vv(table):
                     word = table.blocks[child]
                     if is_prefix(base, word):
                         continue
-                    if is_strict_prefix(word, base):
+                    if is_prefix(word, base):
                         lower_parent(s, word)
                         changed = True
                     else:
@@ -320,39 +320,37 @@ def _check_common(tree_index, nodes, children, symbol_at):
 
 
 def _infer_modes(tables, n_bits):
-    # a tree's mode is the reduced set of n-bit patterns its emitted
-    # streams can start with, found by walking codeword concatenations
-    modes = []
-    for start in range(len(tables)):
-        found = set()
-        seen = set()
-        stack = [(start, 0, 0)]
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            k, blen, bval = state
-            for clen, cval, point in tables[k]:
-                nlen = blen + clen
-                nval = (bval << clen) | cval
-                if nlen >= n_bits:
-                    found.add(BitString(nval >> (nlen - n_bits), n_bits))
-                else:
-                    stack.append((point, nlen, nval))
-        if found:
-            modes.append(reduce_words(found))
-        else:
-            modes.append(frozenset([EMPTY]))
-    return modes
+    # tables[k] lists tree k's (codeword, successor) pairs; its mode is
+    # the reduced set of n-bit patterns its streams can start with.  An
+    # empty codeword hands the stream on without a bit, so each tree
+    # first takes the non-empty codewords of every tree it so reaches.
+    rows = []
+    for k in range(len(tables)):
+        reach, todo = {k}, [k]
+        while todo:
+            for w, point in tables[todo.pop()]:
+                if not w and point not in reach:
+                    reach.add(point)
+                    todo.append(point)
+        rows.append({c for j in reach for c in tables[j] if c[0]})
+    # heads[r][k] is the reduced set of r-bit beginnings of tree k's
+    # streams; reducing each level keeps it small where the r-bit
+    # patterns number up to 2**r
+    heads = [None]
+    for r in range(1, n_bits + 1):
+        level = []
+        for row in rows:
+            found = {w.prefix(r) for w, _ in row if len(w) >= r}
+            found.update(w + h for w, point in row if len(w) < r
+                         for h in heads[r - len(w)][point])
+            level.append(reduce_words(found) if found else found)
+        heads.append(level)
+    return [mode or frozenset([EMPTY]) for mode in heads[n_bits]]
 
 
 def _assemble(conventional, points_per_tree, n_bits, symbols):
-    tables = []
-    for tree, points in zip(conventional, points_per_tree):
-        tables.append([(w.length, w.value, p)
-                       for w, p in zip(tree.cwords, points)])
-    modes = _infer_modes(tables, n_bits)
+    modes = _infer_modes([list(zip(tree.cwords, points)) for tree, points
+                          in zip(conventional, points_per_tree)], n_bits)
     trees = [CodeTree(tree.cwords, points, mode)
              for tree, points, mode in
              zip(conventional, points_per_tree, modes)]

@@ -20,9 +20,6 @@ from .bitstring import (BitString, is_prefix, longest_common_prefix,
                         sort_key, strip_prefix)
 from .errors import CapExceeded, InvalidSet
 
-# all_strings refuses to materialize more than 2**ALL_STRINGS_CAP words
-ALL_STRINGS_CAP = 20
-
 # enumerate_basic_modes is super-exponential in n; 3 covers practical use
 BASIC_MODE_CAP = 3
 
@@ -113,16 +110,7 @@ def to_basic_mode(words):
     return frozenset(strip_prefix(head, w) for w in reduced)
 
 
-def all_strings(n, cap=ALL_STRINGS_CAP):
-    """Every bit string of exactly n bits."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    if n > cap:
-        raise CapExceeded(f"2**{n} strings exceed the cap of 2**{cap}")
-    return frozenset(BitString(v, n) for v in range(1 << n))
-
-
-def enumerate_basic_modes(n, cap=BASIC_MODE_CAP):
+def enumerate_basic_modes(n):
     """All distinct basic modes whose members are at most n bits long.
 
     A basic mode is what ``to_basic_mode`` can produce from a word set
@@ -131,10 +119,10 @@ def enumerate_basic_modes(n, cap=BASIC_MODE_CAP):
     """
     if n < 2:
         raise ValueError("basic modes need at least 2-bit members")
-    if n > cap:
-        raise CapExceeded(
-            f"basic-mode enumeration for n={n} exceeds the cap of {cap}")
-    stems = sorted(all_strings(n - 1), key=sort_key)
+    if n > BASIC_MODE_CAP:
+        raise CapExceeded(f"basic-mode enumeration for n={n} exceeds "
+                          f"the cap of {BASIC_MODE_CAP}")
+    stems = [BitString(v, n - 1) for v in range(1 << (n - 1))]
     zero = BitString(0, 1)
     one = BitString(1, 1)
     seen = set()

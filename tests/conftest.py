@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from aifv.bitstring import BitString, sort_key
 from aifv.codec import DecodeTrace
-from aifv.codetree import (CodeTree, CodeTreeSet, Violation, expands,
-                           reachable_trees)
+from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
 from aifv.errors import NoMatch, Truncated
+from aifv.wordset import reduce
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
 MODE_POOL = [
@@ -47,6 +47,9 @@ small_headers = st.builds(
 
 def bits(text):
     return BitString.from_text(text)
+
+
+ZERO, ONE = BitString(0, 1), BitString(1, 1)
 
 
 def words(*texts):
@@ -101,11 +104,22 @@ def reduce_oracle(word_set):
             out.add(v)
             return
         if v.length < maxlen:
-            walk(v.append(0))
-            walk(v.append(1))
+            walk(v + ZERO)
+            walk(v + ONE)
 
     walk(BitString())
     return frozenset(out)
+
+
+def expands(tree_set, k):
+    """Expanded codewords of every symbol at tree k, by the definition.
+
+    Symbol a's set is {Cword_k(a) + q : q in Mode_{Point_k(a)}}, built
+    by concatenating bit strings, without the library's integer table.
+    """
+    tree = tree_set.trees[k]
+    return [frozenset(cword + q for q in tree_set.trees[point].mode)
+            for cword, point in zip(tree.cwords, tree.points)]
 
 
 def validate_oracle(tree_set):
@@ -213,14 +227,14 @@ def random_valid_tree_set(rng, max_trees=4, max_symbols=3):
         slots = sorted(mode, key=sort_key)
         while len(slots) < symbol_count:
             s = slots.pop(rng.randrange(len(slots)))
-            slots.extend([s.append(0), s.append(1)])
+            slots.extend([s + ZERO, s + ONE])
         rng.shuffle(slots)
         cwords = []
         points = []
         for a in range(symbol_count):
             w = slots[a]
             for _ in range(rng.randint(0, 2)):
-                w = w.append(rng.getrandbits(1))
+                w = w + BitString(rng.getrandbits(1), 1)
             cwords.append(w)
             points.append((k + 1) % tree_count if a == 0
                           else rng.randrange(tree_count))
@@ -312,3 +326,34 @@ def stationary_oracle(matrix):
         for s, p in zip(members, _solve_exact(a, b)):
             pi[s] = mass * p
     return pi
+
+
+def infer_modes_oracle(tables, n_bits):
+    """The modes ``transform._infer_modes`` must infer, by a full walk.
+
+    ``tables[k]`` lists tree k's (codeword, successor) pairs.  From each
+    start tree, every state (tree, bits so far) reachable by appending
+    codewords is visited once; each stream that reaches n_bits gives its
+    first n_bits bits, and the mode is the reduced set of those
+    patterns, or {''} when no stream gets that far.
+    """
+    modes = []
+    for start in range(len(tables)):
+        found = set()
+        seen = set()
+        stack = [(start, 0, 0)]
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            k, blen, bval = state
+            for w, point in tables[k]:
+                nlen = blen + w.length
+                nval = (bval << w.length) | w.value
+                if nlen >= n_bits:
+                    found.add(BitString(nval >> (nlen - n_bits), n_bits))
+                else:
+                    stack.append((point, nlen, nval))
+        modes.append(reduce(found) if found else frozenset([BitString()]))
+    return modes

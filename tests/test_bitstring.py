@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from aifv.bitstring import (BitString, comparable, interval, is_prefix,
-                            is_strict_prefix, longest_common_prefix,
-                            strip_prefix)
+from aifv.bitstring import (BitString, comparable, is_prefix,
+                            longest_common_prefix, strip_prefix)
 from aifv.errors import NotAPrefix
 
-from conftest import bits, interval as exact_interval
+from conftest import bits, interval
 
 SEED = 20240811
 
@@ -28,9 +27,6 @@ def test_construction_and_text():
     assert bits("011").text() == "011"
     assert bits("0010").text() == "0010"
     assert len(bits("0010")) == 4
-    assert list(bits("0110")) == [0, 1, 1, 0]
-    assert bits("0110").bit(1) == 1
-    assert bits("0110")[3] == 0
 
 
 def test_construction_rejects_out_of_range():
@@ -42,8 +38,6 @@ def test_construction_rejects_out_of_range():
         BitString(0, -1)
     with pytest.raises(ValueError):
         BitString.from_text("01x")
-    with pytest.raises(IndexError):
-        bits("01").bit(2)
 
 
 def test_from_text_accepts_only_bit_characters():
@@ -60,11 +54,14 @@ def test_from_text_accepts_only_bit_characters():
 def test_concat_prefix_suffix():
     assert bits("01") + bits("10") == bits("0110")
     assert bits("") + bits("1") == bits("1")
+    assert bits("1") + BitString(0, 1) == bits("10")
     assert bits("0110").prefix(2) == bits("01")
-    assert bits("0110").suffix(2) == bits("10")
+    assert bits("0110").prefix(4) == bits("0110")
     assert bits("0110").prefix(0) == bits("")
-    assert bits("0110").suffix(4) == bits("")
-    assert bits("1").append(0) == bits("10")
+    with pytest.raises(ValueError):
+        bits("0110").prefix(5)
+    # the suffix after a prefix is what strip_prefix leaves
+    assert strip_prefix(bits("01"), bits("0110")) == bits("10")
 
 
 def test_prefix_relation_examples():
@@ -73,8 +70,6 @@ def test_prefix_relation_examples():
     assert not is_prefix(bits("01"), bits("001"))
     assert not is_prefix(bits("011"), bits("01"))
     assert is_prefix(bits("01"), bits("01"))
-    assert is_strict_prefix(bits("01"), bits("011"))
-    assert not is_strict_prefix(bits("01"), bits("01"))
 
 
 def test_comparable_examples():
@@ -96,16 +91,6 @@ def test_longest_common_prefix():
     assert longest_common_prefix(bits("0110"), bits("0111")) == bits("011")
     assert longest_common_prefix(bits("0"), bits("1")) == bits("")
     assert longest_common_prefix(bits("01"), bits("0110")) == bits("01")
-
-
-def test_interval_pinned_values():
-    assert interval(bits("011"), 4) == (6, 8)
-    assert interval(bits("011"), 3) == (3, 4)
-    assert interval(bits("00"), 2) == (0, 1)
-    assert interval(bits(""), 0) == (0, 1)
-    assert interval(bits(""), 3) == (0, 8)
-    with pytest.raises(ValueError):
-        interval(bits("011"), 2)
 
 
 def test_prefix_is_a_partial_order():
@@ -132,17 +117,17 @@ def test_comparable_is_reflexive_symmetric_not_transitive():
 
 
 def test_interval_view_agrees_with_prefix_relations():
+    # comparability is overlap and the prefix relation is containment
+    # of the exact Fraction intervals
     rng = random.Random(SEED + 4)
     for _ in range(2000):
         w1, w2 = random_bits(rng, 8), random_bits(rng, 8)
-        n = max(w1.length, w2.length) + rng.randint(0, 3)
-        (lo1, hi1), (lo2, hi2) = interval(w1, n), interval(w2, n)
+        (lo1, hi1), (lo2, hi2) = interval(w1), interval(w2)
         assert (lo1 < hi2 and lo2 < hi1) == comparable(w1, w2)
         assert (lo1 <= lo2 and hi2 <= hi1) == is_prefix(w1, w2)
-        # cross-check against Fraction arithmetic
-        (f1, g1), (f2, g2) = exact_interval(w1), exact_interval(w2)
-        assert (f1, g1) == (Fraction(lo1, 1 << n), Fraction(hi1, 1 << n))
-        assert (f2, g2) == (Fraction(lo2, 1 << n), Fraction(hi2, 1 << n))
+        assert hi1 - lo1 == Fraction(1, 1 << w1.length)
+    assert interval(bits("011")) == (Fraction(3, 8), Fraction(1, 2))
+    assert interval(bits("")) == (0, 1)
 
 
 def test_strip_prefix_inverts_concatenation():

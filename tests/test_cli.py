@@ -181,6 +181,28 @@ def test_analyze_text_and_json(capsys, trees_path, tmp_path):
     assert abs(stats["monte_carlo"]["rate"] - 1.05) < 0.1
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_analyze_solves_the_chain_once(capsys, trees_path, tmp_path,
+                                       monkeypatch, fmt):
+    from aifv import analysis, cli
+    calls = []
+    solve = analysis.stationary
+
+    def counted(matrix):
+        calls.append(1)
+        return solve(matrix)
+
+    # also where the command would hold its own reference
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "stationary", counted, raising=False)
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[0.5, 0.5]\n")
+    code, out, _ = run(capsys, "analyze", trees_path,
+                       "--dist", str(dist_path), *fmt)
+    assert code == 0 and "1.05" in out
+    assert len(calls) == 1
+
+
 def test_analyze_takes_a_bare_list_distribution(capsys, trees_path,
                                                 tmp_path):
     dist_path = tmp_path / "dist.json"

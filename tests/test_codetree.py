@@ -1,22 +1,26 @@
-"""Code-tree sets: expansion, validation, delay, fullness."""
+"""Code-tree sets: validation, delay, fullness."""
 
 import random
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (Phase, example, find, given, settings,
+                        strategies as st)
 
 from aifv.bitstring import BitString, is_prefix, strip_prefix
 from aifv.codetree import (CodeTree, CodeTreeSet, check_delay_budget,
-                           decoding_delay, expand, expands, is_full,
-                           reachable_trees, validate)
+                           decoding_delay, is_full, reachable_trees,
+                           validate)
 from aifv.errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                          Unvalidated)
 from aifv import examples
 from aifv.codec import encode
+from aifv.formats import parse_conventional
+from aifv.transform import import_aifv2, import_aifvm, to_basic
+from aifv.wordset import reduce
 
-from conftest import (bits, mutate_tree_set, random_valid_tree_set, texts,
-                      validate_oracle)
+from conftest import (ONE, ZERO, bits, expands, mutate_tree_set,
+                      random_valid_tree_set, validate_oracle)
 
 SEED = 20240813
 
@@ -65,18 +69,6 @@ def test_default_symbol_names():
     assert many.symbols[0] == "a"
     assert many.symbols[25] == "z"
     assert many.symbols[26] == "s26"
-
-
-def test_expand_pinned_values():
-    ts = examples.binary_delay3_set()
-    assert texts(expand(ts, 0, 0)) == ["011", "1"]
-    assert texts(expand(ts, 0, 1)) == ["00", "010"]
-    assert [texts(w) for w in expands(ts, 1)] \
-        == [["101", "11"], ["011", "100"]]
-    with pytest.raises(IndexOutOfRange):
-        expand(ts, 0, 2)
-    with pytest.raises(IndexOutOfRange):
-        expands(ts, 5)
 
 
 def test_examples_validate_under_both_methods():
@@ -170,6 +162,84 @@ def test_is_full_examples():
     assert not is_full(shifted)
 
 
+def is_full_by_definition(ts):
+    # tree 0 starts from the whole code space, and each tree's mode
+    # covers exactly what its expanded codewords cover
+    return ts.trees[0].mode == {BitString()} and all(
+        reduce(tree.mode) == reduce(frozenset().union(*expands(ts, k)))
+        for k, tree in enumerate(ts.trees))
+
+
+def imported_examples():
+    sets = []
+    for doc in (examples.quaternary_aifv2_doc(),
+                examples.quaternary_aifv3_doc(), examples.skewed_aifv3_doc()):
+        kind, m, convention, symbols, trees = parse_conventional(doc)
+        sets.append(import_aifv2(trees, symbols) if kind == "aifv2"
+                    else import_aifvm(trees, m, symbols, convention))
+    return sets
+
+
+def test_is_full_matches_definition_on_examples():
+    sets = [examples.binary_delay3_set(), examples.instantaneous_huffman_set(),
+            examples.ternary_full_set(), examples.skewed_delay3_set()] \
+        + imported_examples()
+    sets += [to_basic(ts) for ts in sets]
+    outcomes = [is_full(ts) for ts in sets]
+    assert outcomes == [is_full_by_definition(ts) for ts in sets]
+    # the imported quaternary three-tree code leaves code space unused
+    assert outcomes.count(False) == 2
+
+
+def complete_code_set(rng, max_trees=3, max_symbols=4):
+    """A random full set: every mode is {''}, every tree a complete code."""
+    tree_count = rng.randint(1, max_trees)
+    symbol_count = rng.randint(1, max_symbols)
+    trees = []
+    for k in range(tree_count):
+        leaves = [BitString()]
+        while len(leaves) < symbol_count:
+            w = leaves.pop(rng.randrange(len(leaves)))
+            leaves += [w + ZERO, w + ONE]
+        rng.shuffle(leaves)
+        points = [(k + 1) % tree_count] + [
+            rng.randrange(tree_count) for _ in range(symbol_count - 1)]
+        trees.append(CodeTree(leaves, points, [BitString()]))
+    return CodeTreeSet(trees)
+
+
+@st.composite
+def fullness_sets(draw):
+    # random valid sets are full about once in 300 draws, so half the
+    # draws start from a full set; a mutation may keep it full or not
+    rng = draw(st.randoms(use_true_random=False))
+    make = draw(st.sampled_from([complete_code_set, random_valid_tree_set]))
+    ts = make(rng)
+    if draw(st.booleans()):
+        ts = mutate_tree_set(rng, ts)
+    return ts
+
+
+@settings(deadline=None)
+@given(fullness_sets())
+def test_is_full_matches_definition(ts):
+    if validate(ts).ok:
+        assert is_full(ts) == is_full_by_definition(ts)
+    else:
+        with pytest.raises(Unvalidated):
+            is_full(ts)
+
+
+@pytest.mark.parametrize("outcome", [True, False])
+def test_fullness_sets_reach_both_outcomes(outcome):
+    # the strategy above yields valid sets that are full and ones that
+    # are not, so the definition test sees both answers
+    find(fullness_sets(),
+         lambda ts: validate(ts).ok and is_full(ts) == outcome
+         and ts.tree_count > 1,
+         settings=settings(database=None, phases=[Phase.generate]))
+
+
 def test_check_delay_budget():
     ts = examples.binary_delay3_set()
     assert check_delay_budget(ts, 3)
@@ -196,7 +266,7 @@ def test_exactly_one_symbol_matches_each_expansion():
     for ts in sets:
         for k in range(ts.tree_count):
             for a in range(ts.symbol_count):
-                for word in expand(ts, k, a):
+                for word in expands(ts, k)[a]:
                     matched = []
                     for cand in range(ts.symbol_count):
                         cw = ts.trees[k].cwords[cand]
@@ -276,8 +346,8 @@ def stretch(ts, rng, width):
 
     def blocks(w):
         out = BitString()
-        for b in w:
-            out = out + (one if b else zero)
+        for b in w.text():
+            out = out + (one if b == "1" else zero)
         return out
 
     return CodeTreeSet([CodeTree([blocks(w) for w in t.cwords], t.points,

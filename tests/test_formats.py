@@ -190,6 +190,20 @@ def test_parse_vv_table_documents():
         parse_vv_table(bad)
 
 
+def test_bad_bit_strings_are_one_format_error():
+    # whatever is wrong with a word, the message is the same
+    for word in ["01x", "0b1", "1_0", " 1", "1 ", "0\u0661", 1, True, None,
+                 ["0"]]:
+        doc = {"kind": "aifv2", "trees": [{"codewords": ["0", word]},
+                                          {"codewords": ["0", "1"]}]}
+        message = f"tree 0: expected a string of bits, got {word!r}"
+        with pytest.raises(FormatError) as err:
+            parse_conventional(doc)
+        assert str(err.value) == message
+    doc = {"kind": "aifv2", "trees": [{"codewords": ["", "0" * 3000]}]}
+    assert parse_conventional(doc)[4][0].cwords[1] == BitString(0, 3000)
+
+
 def test_bitstream_round_trip_all_small_lengths():
     rng = random.Random(SEED + 1)
     for nbits in range(0, 66):

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aifv.bitstring import is_prefix
 from aifv.codec import decode, encode
@@ -11,12 +13,12 @@ from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from aifv.errors import (DepthExceeded, NormalizationFailed,
                          StructureViolation)
 from aifv.formats import parse_conventional, parse_vv_table
-from aifv.transform import (VVCodeTable, _normalize_vv,
+from aifv.transform import (VVCodeTable, _infer_modes, _normalize_vv,
                             equivalent_up_to_termination, import_aifv2,
                             import_aifvm, to_basic, vv_to_tree_set)
 from aifv import examples
 
-from conftest import bits, random_valid_tree_set, texts
+from conftest import bits, infer_modes_oracle, random_valid_tree_set, texts
 
 SEED = 20240815
 
@@ -320,3 +322,46 @@ def test_import_rejects_undecodable_trees():
     with pytest.raises(StructureViolation) as err:
         import_aifvm([same, same], 2)
     assert "not decodable" in str(err.value)
+
+
+@st.composite
+def codeword_tables(draw):
+    # [k] -> [(codeword, successor)], as the importers build them; short
+    # and empty codewords make cycles that add no bits
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    entry = st.tuples(st.text("01", max_size=5).map(bits),
+                      st.integers(0, k - 1))
+    tables = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                           min_size=k, max_size=k))
+    return tables, draw(st.integers(1, 6))
+
+
+def codeword_rows(*rows):
+    return [[(bits(w), point) for w, point in row] for row in rows]
+
+
+@settings(deadline=None)
+@given(codeword_tables())
+# a cycle of empty codewords emits nothing: both modes are {''}
+@example((codeword_rows([("", 1)], [("", 0)]), 2))
+# tree 0 emits '1' and hands over to a tree that never emits a bit
+@example((codeword_rows([("1", 1)], [("", 1)]), 2))
+# tree 0 reaches tree 2's bits through two empty codewords
+@example((codeword_rows([("", 1), ("00", 0)], [("", 2)], [("1", 0)]), 3))
+def test_infer_modes_matches_walk(case):
+    tables, n_bits = case
+    assert _infer_modes(tables, n_bits) == infer_modes_oracle(tables, n_bits)
+
+
+def test_mode_inference_is_not_exponential():
+    # every stream of 16 two-leaf trees can start with each of the 2**16
+    # patterns; walking them all took about 10 s
+    tables = codeword_rows(*[[("0", 0), ("1", 0)]] * 16)
+    assert _infer_modes(tables, 16) == [frozenset([bits("")])] * 16
+    started = time.perf_counter()
+    # only tree 0 is reachable, so the import ends in a refusal
+    with pytest.raises(StructureViolation, match="cannot be reached"):
+        import_aifvm([[bits("0"), bits("1")]] * 16, 16)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"import took {elapsed:.2f} s"

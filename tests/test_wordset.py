@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
 from aifv.errors import CapExceeded, InvalidSet
-from aifv.wordset import (all_strings, common_prefix, enumerate_basic_modes,
+from aifv.wordset import (common_prefix, enumerate_basic_modes,
                           in_full_closure, is_prefix_free, reduce,
                           to_basic_mode)
 from aifv import examples
@@ -144,18 +144,6 @@ def test_to_basic_mode_properties():
         assert common_prefix(basic) == bits("")
         assert reduce(basic) == basic
         assert to_basic_mode(basic) == basic
-
-
-def test_all_strings():
-    assert texts(all_strings(0)) == [""]
-    assert texts(all_strings(2)) == ["00", "01", "10", "11"]
-    assert len(all_strings(6)) == 64
-    with pytest.raises(CapExceeded):
-        all_strings(21)
-    with pytest.raises(CapExceeded):
-        all_strings(5, cap=4)
-    with pytest.raises(ValueError):
-        all_strings(-1)
 
 
 def test_enumerate_basic_modes_census():
