@@ -19,17 +19,29 @@ never exceeds the set's decoding delay.
 No decision looks further than ``reach`` bits past the current
 position: the longest codeword plus the longest mode member of the set.
 The decoder therefore reads the stream through a window of about
-``_CHUNK_BITS + reach`` bits, an integer refilled from a byte buffer
-whenever fewer than ``reach`` bits are left in it, so every shift and
-mask acts on a small integer and its cost is linear in the stream
-length.
+``_CHUNK_BITS + reach + _RUN_BITS`` bits, an integer refilled from a
+byte buffer whenever fewer than ``reach + _RUN_BITS`` bits are left in
+it, so every shift and mask acts on a small integer, every decision
+sees at least ``reach`` bits or the whole rest of the stream, and there
+is a full ``_RUN_BITS`` peek wherever the stream still has one.
+
+Because a decision is final once its codeword and lookahead are in
+hand, the bits of a peek fix every symbol whose codeword and lookahead
+both end inside it.  This is table-lookup decoding of prefix codes
+(Moffat and Turpin, 1997), extended to emit several symbols per lookup:
+the decoder caches, per tree and ``_RUN_BITS``-bit peek, the run of
+symbols the peek decides, and on a later visit emits the whole run at
+once.  On a skewed source, where most symbols cost 0 or 1 bits, one
+lookup emits about ten symbols.  A tree none of whose expanded words
+fits in the peek can never start a run; it gets no run slots and walks
+its candidate rows for every symbol, as before.
 
 Both loops run on the set's integer table (``codetree.table``):
 codewords as (length, value, successor) rows, mode members as
 (length, value) pairs.  The table is shared with the validator and
 ``decoding_delay``, so each set is converted once, by whichever of them
-runs first; only the decoder's candidate rows are built on the first
-decode.
+runs first; the decoder's candidate rows and run slots are built on the
+first decode, and the runs are filled as decodes meet new peeks.
 """
 
 from __future__ import annotations
@@ -42,6 +54,10 @@ from .errors import NoMatch, SymbolOutOfRange, Truncated
 # many bits, and the decoder refills its window in steps of the same
 # size, so the integers both loops shift and mask stay small
 _CHUNK_BITS = 256
+# the decoder peeks at this many stream bits and caches, per tree and
+# peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
+# for a set of K trees
+_RUN_BITS = 8
 
 
 class EncodeResult:
@@ -132,21 +148,47 @@ def decode(tree_set, bits, length):
 
     The stream is packed once into left-aligned bytes, as in the binary
     container.  The window ``win`` holds the stream bits up to position
-    ``wend``; when fewer than ``reach`` bits past the current position
-    are left in it and the stream has more, it is refilled from the
-    bytes with the next ``_CHUNK_BITS + reach`` bits, or up to the end
-    of the stream.  A decision never reads past ``reach`` bits, so it
-    sees the same bits as in the whole stream, and the stream tail is
-    always fully in the window.  Each symbol walks its tree's candidate
-    rows and stops at the first confirmed match: the set is valid, so no
-    later row can match too.  Refills cost O(bits) in all; each symbol
-    costs O(candidates) operations on a window of about
-    ``_CHUNK_BITS + reach`` bits, whatever the message length.
+    ``wend``; before each step, when fewer than ``reach + _RUN_BITS``
+    bits past the current position are left in it and the stream has
+    more, it is refilled from the bytes with the next ``_CHUNK_BITS +
+    reach + _RUN_BITS`` bits, or up to the end of the stream.  A
+    decision never reads past ``reach`` bits, so it sees the same bits
+    as in the whole stream, and the stream tail is always fully in the
+    window.
+
+    A step that has ``_RUN_BITS`` bits in the window peeks at them and
+    looks the peek up in the current tree's run slots.  A stored run
+    that fits in the symbols still wanted is applied at once: its
+    symbols, lookaheads, bits and final tree.  Otherwise the step walks
+    the tree's candidate rows and stops at the first confirmed match:
+    the set is valid, so no later row can match too.
+
+    A peek met for the first time is recorded as the walk goes on: the
+    symbols decoded from there, for as long as each codeword and its
+    lookahead end inside the peek, become its run, stored when the
+    first symbol that reads past the peek is decoded.  A peek whose
+    first symbol already reads past it stores ``()``, so later visits
+    go straight to the walk.  Any stream that starts with the peek
+    decodes to the same run: mode members are tried shortest first, a
+    valid set lets at most one row be confirmed, and bits inside the
+    peek confirm it.  A run also ends after ``K * (_RUN_BITS + 1)``
+    symbols for K trees, since a longer one revisits a tree at one bit
+    position: a cycle of empty codewords, which would never leave the
+    peek.  Truncated and NoMatch come from the walk alone, so they
+    report the same symbol and bit as without runs.
+
+    Refills cost O(bits) in all.  A walk costs O(candidates) operations
+    on a window of about ``_CHUNK_BITS + reach + _RUN_BITS`` bits, and
+    a stored run costs one lookup, whatever the message length.
     """
     tree_set.ensure_valid()
     if length < 0:
         raise ValueError("symbol count must be non-negative")
-    rows, reach = table(tree_set).decoder()
+    peek_bits = _RUN_BITS
+    rows, reach, runs = table(tree_set).decoder(peek_bits)
+    mask = (1 << peek_bits) - 1
+    margin = reach + peek_bits
+    cap = len(rows) * (peek_bits + 1)
     total = bits.length
     data = (bits.value << (-total % 8)).to_bytes((total + 7) // 8, "big")
     win = 0
@@ -155,14 +197,38 @@ def decode(tree_set, bits, length):
     out = []
     lookaheads = []
     k = 0
-    for i in range(length):
+    i = 0
+    # recording the run of ``peek`` in ``rec``, the slots it goes to:
+    # it began at bit ``start`` and symbol ``head``, and ends with the
+    # first symbol that reads past bit ``end`` or at symbol ``stop``
+    rec = None
+    while i < length:
         avail = wend - pos
-        if avail < reach and wend < total:
-            wend = min(total, pos + _CHUNK_BITS + reach)
+        if avail < margin and wend < total:
+            wend = min(total, pos + _CHUNK_BITS + margin)
             first = pos >> 3
             last = (wend + 7) >> 3
             win = int.from_bytes(data[first:last], "big") >> (last * 8 - wend)
             avail = wend - pos
+        slots = runs[k]
+        if slots is not None and rec is None and avail >= peek_bits:
+            peek = (win >> (avail - peek_bits)) & mask
+            run = slots[peek]
+            if run is None:
+                rec = slots
+                start = pos
+                end = pos + peek_bits
+                head = i
+                stop = i + cap
+            elif run:
+                syms, las, used, point = run
+                if len(syms) <= length - i:
+                    out += syms
+                    lookaheads += las
+                    i += len(syms)
+                    pos += used
+                    k = point
+                    continue
         for a, clen, cval, point, queries in rows[k]:
             rest = avail - clen
             if rest < 0 or (win >> rest) & ((1 << clen) - 1) != cval:
@@ -189,8 +255,13 @@ def decode(tree_set, bits, length):
             raise NoMatch(
                 f"no symbol matches at bit {pos}",
                 symbol_index=i, bit_position=pos)
+        if rec is not None and (pos + clen + qlen > end or i == stop):
+            rec[peek] = (tuple(out[head:]), tuple(lookaheads[head:]),
+                         pos - start, k) if i > head else ()
+            rec = None
         out.append(a)
         lookaheads.append(qlen)
         pos += clen
         k = point
+        i += 1
     return DecodeTrace(out, lookaheads, pos)

@@ -144,9 +144,18 @@ class _Table:
     the first of them as a bit string.  Expanded word i of symbol a at
     tree k is ``(len + qlen, value << qlen | qval)`` for
     ``(qlen, qval) = queries[point][i]``.
+
+    The decoder's part is built on the first decode: the candidate rows
+    of each tree, ``reach``, and ``runs``, which ``codec.decode`` fills
+    as it goes.  ``runs[k][peek]`` caches what the decoder read from
+    tree k when the next stream bits were ``peek``: the run of symbols
+    whose codeword and lookahead both lie inside those bits.  A tree
+    whose every expanded word is longer than the peek can never start a
+    run, and gets ``None`` instead of slots.
     """
 
-    __slots__ = ("cwords", "queries", "terminations", "reach", "rows")
+    __slots__ = ("cwords", "queries", "terminations", "reach", "rows",
+                 "runs")
 
     def __init__(self, tree_set):
         self.cwords = []
@@ -160,23 +169,43 @@ class _Table:
             self.queries.append(tuple((q.length, q.value) for q in mode))
             self.terminations.append(mode[0])
         # the decoder's candidate rows [k] -> ((a, len, value, point,
-        # queries[point]), ...) and the most bits past the current
-        # position that a decision reads; the first decode sets both,
-        # so validating and encoding alone do not pay for them
+        # queries[point]), ...), the most bits past the current
+        # position that a decision reads, and the run slots [k] ->
+        # [run or None] * 2**peek_bits, or None for a tree with no run;
+        # the first decode sets all three, so validating and encoding
+        # alone do not pay for them
         self.rows = None
         self.reach = None
+        self.runs = None
 
-    def decoder(self):
-        """The candidate rows and ``reach``, built on first use."""
+    def decoder(self, peek_bits):
+        """The candidate rows, ``reach`` and run slots, built on first use.
+
+        ``peek_bits`` is the decoder's peek width; it is fixed for the
+        life of the table.
+        """
         if self.rows is None:
             queries = self.queries
             self.rows = [
                 tuple((a, length, value, point, queries[point])
                       for a, (length, value, point) in enumerate(row))
                 for row in self.cwords]
-            self.reach = max(c[0] for row in self.cwords for c in row) \
-                + max(q[-1][0] for q in queries)
-        return self.rows, self.reach
+            # a tree gets run slots iff one of its expanded words fits in
+            # the peek; its shortest codeword plus the set's shortest
+            # mode member rules out most others without a walk of the row
+            shortest = [q[0][0] for q in queries]
+            floor = min(shortest)
+            longest = 0
+            self.runs = []
+            for row in self.cwords:
+                lengths = [c[0] for c in row]
+                longest = max(longest, max(lengths))
+                fits = min(lengths) + floor <= peek_bits and any(
+                    length + shortest[point] <= peek_bits
+                    for length, _, point in row)
+                self.runs.append([None] * (1 << peek_bits) if fits else None)
+            self.reach = longest + max(q[-1][0] for q in queries)
+        return self.rows, self.reach, self.runs
 
 
 def table(tree_set):

@@ -158,11 +158,10 @@ def parse_tree_set(doc):
                 raise FormatError(f"{where}: tree reference {target!r} "
                                   f"out of range")
             points.append(target)
+        words = [_bits_from_text(w, f"{where} codewords") for w in cwords]
+        members = [_bits_from_text(w, f"{where} mode") for w in mode]
         try:
-            trees.append(CodeTree(
-                [_bits_from_text(w, f"{where} codewords") for w in cwords],
-                points,
-                [_bits_from_text(w, f"{where} mode") for w in mode]))
+            trees.append(CodeTree(words, points, members))
         except AifvError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     tree_names = tuple(names) if names[0] is not None else None

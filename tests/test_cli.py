@@ -110,6 +110,19 @@ def test_decode_bits_argument(capsys, trees_path):
     assert code == 2
 
 
+def test_bad_word_in_a_set_exits_2_naming_the_tree_once(capsys, tmp_path):
+    good = tree_set_to_doc(examples.binary_delay3_set())
+    path = tmp_path / "bad.json"
+    for key, word in [("codewords", "x"), ("mode", 5)]:
+        doc = json.loads(dumps_document(good))
+        doc["trees"][1][key][-1] = word
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: tree 1 {key}: expected a string of bits, "
+                       f"got {word!r}\n")
+
+
 def test_decode_truncated_stream_fails(capsys, trees_path):
     code, _, err = run(capsys, "decode", trees_path,
                        "--bits", "10", "--length", "3")

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from aifv import codec
 from aifv.bitstring import BitString
 from aifv.codec import decode, encode, max_realized_lookahead
-from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
+from aifv.codetree import (CodeTree, CodeTreeSet, decoding_delay, table,
+                           validate)
 from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
 
@@ -209,25 +210,96 @@ def test_decode_matches_whole_stream_oracle(rng):
         flipped = BitString(flipped.value ^ (1 << rng.randrange(clean.length)),
                             clean.length)
     n = rng.randint(0, 200)
+    # in this order on one set, so that the clean stream meets runs
+    # stored from broken ones, and the last two lengths end inside a
+    # stored run wherever the runs cover the message
     cases = [
-        (clean, len(msg)),
-        (clean, len(msg) + rng.randint(1, 3)),
         (flipped, len(msg)),
         (clean.prefix(rng.randint(0, clean.length)), len(msg)),
         (BitString(rng.getrandbits(n) if n else 0, n), rng.randint(0, 120)),
+        (clean, len(msg) + rng.randint(1, 3)),
+        (clean, len(msg)),
+        (clean, rng.randint(0, len(msg))),
+        (clean, max(len(msg) - 1, 0)),
     ]
+    expected = [decode_outcome(decode_oracle, ts, stream, length)
+                for stream, length in cases]
     # small chunks put flushes and refills inside codewords and lookahead
     chunks = (0, 1, 7, 64)
     for chunk in chunks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_CHUNK_BITS", chunk)
             assert encode(ts, msg).bits.text() == expected_text
-    for stream, length in cases:
-        expected = decode_outcome(decode_oracle, ts, stream, length)
+    # each peek width gets a fresh set: the run table is cached on it
+    for width in (1, 3, 8, 16):
+        fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
         for chunk in chunks:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(codec, "_CHUNK_BITS", chunk)
-                assert decode_outcome(decode, ts, stream, length) == expected
+                patch.setattr(codec, "_RUN_BITS", width)
+                got = [decode_outcome(decode, fresh, stream, length)
+                       for stream, length in cases]
+            assert got == expected, (width, chunk)
+
+
+def test_cycles_of_empty_codewords_end():
+    # every symbol reads 0 bits and returns to a tree already seen there
+    one = CodeTreeSet([tree([""], [("", 0)])])
+    two = CodeTreeSet([tree([""], [("", 1)]), tree([""], [("", 0)])])
+    for ts in (one, two):
+        # 16 trailing bits let the decoder peek and record the cycle
+        for stream in (bits(""), bits("0" * 16)):
+            start = time.perf_counter()
+            trace = decode(ts, stream, 1000)
+            assert time.perf_counter() - start < 0.5
+            assert trace.symbols == (0,) * 1000
+            assert trace.per_symbol_lookahead == (0,) * 1000
+            assert trace.bits_consumed == 0
+        # K * (_RUN_BITS + 1) symbols at most in one run
+        runs = [run for slots in table(ts).runs for run in slots if run]
+        assert runs
+        assert all(len(run[0]) <= ts.tree_count * (codec._RUN_BITS + 1)
+                   for run in runs)
+
+
+def test_run_table_is_bounded():
+    ts = examples.skewed_delay3_set()
+    rng = random.Random(SEED + 4)
+    for _ in range(2):
+        msg = rng.choices(range(4), weights=examples.skewed_distribution(),
+                          k=200_000)
+        assert decode(ts, encode(ts, msg).bits, len(msg)).symbols == \
+            tuple(msg)
+    runs = table(ts).runs
+    assert len(runs) == ts.tree_count
+    assert all(len(slots) == 1 << codec._RUN_BITS for slots in runs)
+    stored = [run for slots in runs for run in slots if run is not None]
+    assert 0 < len(stored) <= ts.tree_count << codec._RUN_BITS
+
+
+def test_trees_without_a_short_expanded_word_get_no_run_slots():
+    # tree 0 has the M=256 shape of perfbench's generated sets: 9-bit
+    # codewords under a mode of two 2-bit words; tree 2's 8-bit codewords
+    # all lead to tree 0, so its expanded words have 10 bits; tree 1's
+    # '0' leads to tree 2, whose mode holds ''
+    wide = [f"{p}{v:07b}" for p in ("00", "10") for v in range(128)]
+    ts = CodeTreeSet([
+        tree(["00", "10"], [(w, 1 if a == 0 else 0)
+                            for a, w in enumerate(wide)]),
+        tree([""], [("0", 2)] + [(f"1{v:08b}", v % 2)
+                                 for v in range(255)]),
+        tree([""], [(f"{v:08b}", 0) for v in range(256)]),
+    ])
+    assert validate(ts).ok
+    rng = random.Random(SEED + 5)
+    msg = [rng.randrange(256) for _ in range(300)]
+    stream = encode(ts, msg).bits
+    expected = decode_outcome(decode_oracle, ts, stream, len(msg))
+    assert decode_outcome(decode, ts, stream, len(msg)) == expected
+    assert expected[0] == tuple(msg)
+    slots = table(ts).runs
+    assert slots[0] is None and slots[2] is None
+    assert len(slots[1]) == 1 << codec._RUN_BITS
 
 
 def test_decode_is_linear_in_stream_length():

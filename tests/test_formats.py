@@ -202,6 +202,15 @@ def test_bad_bit_strings_are_one_format_error():
         assert str(err.value) == message
     doc = {"kind": "aifv2", "trees": [{"codewords": ["", "0" * 3000]}]}
     assert parse_conventional(doc)[4][0].cwords[1] == BitString(0, 3000)
+    # a code-tree set document names the tree and the list, once
+    good = tree_set_to_doc(examples.binary_delay3_set())
+    for key, word in [("codewords", "x"), ("mode", 5)]:
+        doc = json.loads(dumps_document(good))
+        doc["trees"][1][key][-1] = word
+        with pytest.raises(FormatError) as err:
+            parse_tree_set(doc)
+        assert str(err.value) == \
+            f"tree 1 {key}: expected a string of bits, got {word!r}"
 
 
 def test_bitstream_round_trip_all_small_lengths():
