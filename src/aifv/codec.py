@@ -17,7 +17,7 @@ the decoder commits to the first one it confirms, and the lookahead
 never exceeds the set's decoding delay.
 
 No decision looks further than ``reach`` bits past the current
-position: the longest codeword plus the longest mode member of the set.
+position: the longest expanded codeword of the set.
 The decoder therefore reads the stream through a window of about
 ``_CHUNK_BITS + reach + _RUN_BITS`` bits, an integer refilled from a
 byte buffer whenever fewer than ``reach + _RUN_BITS`` bits are left in
@@ -36,12 +36,12 @@ lookup emits about ten symbols.  A tree none of whose expanded words
 fits in the peek can never start a run; it gets no run slots and walks
 its candidate rows for every symbol, as before.
 
-Both loops run on the set's integer table (``codetree.table``):
-codewords as (length, value, successor) rows, mode members as
-(length, value) pairs.  The table is shared with the validator and
-``decoding_delay``, so each set is converted once, by whichever of them
-runs first; the decoder's candidate rows and run slots are built on the
-first decode, and the runs are filled as decodes meet new peeks.
+Both loops run on the rows of the set's integer table
+(``codetree.table``): (symbol, codeword length and value, successor,
+successor's mode members as (length, value) pairs).  The validator
+reads the same rows, so each set is converted once, by whichever runs
+first; ``reach`` and the run slots are added on the first decode, and
+the runs are filled as decodes meet new peeks.
 """
 
 from __future__ import annotations
@@ -89,15 +89,16 @@ def _encode_body(tree_set, symbols):
     One ``int.from_bytes`` at the end joins the buffer, so the cost is
     linear in the body length.
     """
-    cwords = table(tree_set).cwords
+    rows = table(tree_set).rows
+    m = len(rows[0])
     out = bytearray()
     acc = 0
     acc_len = 0
     k = 0
     for x in symbols:
-        if not 0 <= x < len(cwords[0]):
+        if not 0 <= x < m:
             raise SymbolOutOfRange(f"symbol id {x} out of range")
-        length, value, point = cwords[k][x]
+        _, length, value, point, _ = rows[k][x]
         acc = (acc << length) | value
         acc_len += length
         k = point

@@ -23,11 +23,13 @@ disjoint, and a word's prefixes among a tree's words are exactly the
 entries still open on a stack when the words are swept in interval
 order.  ``validate`` therefore finds every comparable pair in one
 sorted sweep per tree, in O(E log E + violations) for E expanded
-codewords.  The sweep runs on the set's integer table (``table``),
-where every word is a (length, value) pair: "direct" tests prefixes on
-those pairs, "interval" compares their integer interval images, and
-the two methods agree on every input and produce identical reports.
-The encoder and decoder run on the same table.
+codewords.  The innermost mode member open at an expanded word is the
+lookahead the decoder needs for it, so the same sweep yields the
+decoding delay.  The sweep runs on the rows of the set's integer table
+(``table``), where every word is a (length, value) pair: "direct"
+tests prefixes on those pairs, "interval" compares their integer
+interval images, and the two methods agree on every input and produce
+identical reports.  The encoder and decoder read the same rows.
 """
 
 from __future__ import annotations
@@ -137,16 +139,17 @@ class CodeTreeSet:
 class _Table:
     """A set's integer view, shared by the validator and the codec.
 
-    ``cwords[k][a]`` is ``(len, value, point)``: Cword_k(a) as an
-    integer of ``len`` bits and the tree it hops to.  ``queries[k]``
-    lists tree k's mode members as ``(len, value)`` pairs in
-    ``sort_key`` order, so shortest first, and ``terminations[k]`` is
-    the first of them as a bit string.  Expanded word i of symbol a at
-    tree k is ``(len + qlen, value << qlen | qval)`` for
+    ``rows[k][a]`` is ``(a, clen, cval, point, queries[point])``:
+    Cword_k(a) as an integer of ``clen`` bits, the tree it hops to, and
+    that tree's mode members.  ``queries[k]`` lists tree k's mode
+    members as ``(len, value)`` pairs in ``sort_key`` order, so
+    shortest first, and ``terminations[k]`` is the first of them as a
+    bit string.  Expanded word i of symbol a at tree k is
+    ``(clen + qlen, cval << qlen | qval)`` for
     ``(qlen, qval) = queries[point][i]``.
 
-    The decoder's part is built on the first decode: the candidate rows
-    of each tree, ``reach``, and ``runs``, which ``codec.decode`` fills
+    The decoder's part is built on the first decode: ``reach``, the
+    longest expanded word, and ``runs``, which ``codec.decode`` fills
     as it goes.  ``runs[k][peek]`` caches what the decoder read from
     tree k when the next stream bits were ``peek``: the run of symbols
     whose codeword and lookahead both lie inside those bits.  A tree
@@ -154,57 +157,40 @@ class _Table:
     run, and gets ``None`` instead of slots.
     """
 
-    __slots__ = ("cwords", "queries", "terminations", "reach", "rows",
-                 "runs")
+    __slots__ = ("rows", "queries", "terminations", "reach", "runs")
 
     def __init__(self, tree_set):
-        self.cwords = []
         self.queries = []
         self.terminations = []
         for tree in tree_set.trees:
-            self.cwords.append([
-                (w.length, w.value, point)
-                for w, point in zip(tree.cwords, tree.points)])
             mode = sorted(tree.mode, key=sort_key)
             self.queries.append(tuple((q.length, q.value) for q in mode))
             self.terminations.append(mode[0])
-        # the decoder's candidate rows [k] -> ((a, len, value, point,
-        # queries[point]), ...), the most bits past the current
-        # position that a decision reads, and the run slots [k] ->
-        # [run or None] * 2**peek_bits, or None for a tree with no run;
-        # the first decode sets all three, so validating and encoding
-        # alone do not pay for them
-        self.rows = None
+        queries = self.queries
+        self.rows = [
+            tuple((a, w.length, w.value, point, queries[point])
+                  for a, (w, point) in enumerate(zip(tree.cwords,
+                                                     tree.points)))
+            for tree in tree_set.trees]
         self.reach = None
         self.runs = None
 
     def decoder(self, peek_bits):
-        """The candidate rows, ``reach`` and run slots, built on first use.
+        """The rows, ``reach`` and run slots, the last two built on first use.
 
         ``peek_bits`` is the decoder's peek width; it is fixed for the
         life of the table.
         """
-        if self.rows is None:
-            queries = self.queries
-            self.rows = [
-                tuple((a, length, value, point, queries[point])
-                      for a, (length, value, point) in enumerate(row))
-                for row in self.cwords]
-            # a tree gets run slots iff one of its expanded words fits in
-            # the peek; its shortest codeword plus the set's shortest
-            # mode member rules out most others without a walk of the row
-            shortest = [q[0][0] for q in queries]
-            floor = min(shortest)
-            longest = 0
-            self.runs = []
-            for row in self.cwords:
-                lengths = [c[0] for c in row]
-                longest = max(longest, max(lengths))
-                fits = min(lengths) + floor <= peek_bits and any(
-                    length + shortest[point] <= peek_bits
-                    for length, _, point in row)
-                self.runs.append([None] * (1 << peek_bits) if fits else None)
-            self.reach = longest + max(q[-1][0] for q in queries)
+        if self.runs is None:
+            # a tree gets run slots iff one of its expanded words fits
+            # in the peek; follow[0] is the successor's shortest member
+            self.runs = [
+                [None] * (1 << peek_bits)
+                if any(clen + follow[0][0] <= peek_bits
+                       for _, clen, _, _, follow in row) else None
+                for row in self.rows]
+            self.reach = max(clen + follow[-1][0] for row in self.rows
+                             for _, clen, _, _, follow in row)
         return self.rows, self.reach, self.runs
 
 
@@ -227,13 +213,14 @@ class Violation(NamedTuple):
 
 
 class ValidationReport:
-    """The outcome of one validation run."""
+    """The outcome of one validation run; ``delay`` holds only if ok."""
 
-    __slots__ = ("method", "violations")
+    __slots__ = ("method", "violations", "delay")
 
-    def __init__(self, method, violations):
+    def __init__(self, method, violations, delay):
         self.method = method
         self.violations = tuple(violations)
+        self.delay = delay
 
     @property
     def ok(self):
@@ -272,10 +259,12 @@ def validate(tree_set, method="direct"):
     the entries left on a stack that contain the current one are
     exactly its prefixes: each expanded word of another symbol among
     them is an overlap, and the current word is covered iff a mode
-    member is among them.  "direct" tests containment as the prefix
-    relation on (length, value) pairs, "interval" on the integer
-    interval pairs; the reports are identical either way.  Words become
-    text only when a violation is written.
+    member is among them.  The longest open one is the lookahead that
+    confirms the word, and the most over all trees is ``delay``.
+    "direct" tests containment as the prefix relation on
+    (length, value) pairs, "interval" on the integer interval pairs;
+    the reports are identical either way.  Words become text only when
+    a violation is written.
 
     Cost per tree is O(E log E + V) for E expanded words and V
     violations, plus, per word, the depth to which the modes nest.
@@ -301,14 +290,14 @@ def validate(tree_set, method="direct"):
             violations.append(Violation(
                 "unreachable", k, (), (),
                 f"tree {k} cannot be reached from tree 0"))
+    delay = 0
     tab = table(tree_set)
     queries = tab.queries
-    for k, row in enumerate(tab.cwords):
+    for k, row in enumerate(tab.rows):
         # a symbol's expansions share its codeword, so they come in the
         # sort_key order of its successor's mode members
-        exp = [[(clen + qlen, cval << qlen | qval)
-                for qlen, qval in queries[point]]
-               for clen, cval, point in row]
+        exp = [[(clen + qlen, cval << qlen | qval) for qlen, qval in follow]
+               for _, clen, cval, _, follow in row]
         n = max(words[-1][0] for words in exp + [queries[k]])
         # as symbol -1, mode members sort ahead of equal expanded words
         entries = sorted(
@@ -319,14 +308,14 @@ def validate(tree_set, method="direct"):
         overlaps = []
         uncovered = []
         stack = []
-        open_modes = 0
+        modes = []  # lengths of the mode members open on the stack
         for entry in entries:
             while stack and not contains(stack[-1], entry):
                 if stack.pop()[2] < 0:
-                    open_modes -= 1
+                    modes.pop()
             a, i = entry[2], entry[3]
             if a < 0:
-                open_modes += 1
+                modes.append(entry[4])
             else:
                 for outer in stack:
                     b, j = outer[2], outer[3]
@@ -334,8 +323,10 @@ def validate(tree_set, method="direct"):
                         overlaps.append((a, b, i, j))
                     elif 0 <= b < a:
                         overlaps.append((b, a, j, i))
-                if not open_modes:
+                if not modes:
                     uncovered.append((a, i))
+                elif modes[-1] > delay:
+                    delay = modes[-1]
             stack.append(entry)
         overlaps.sort()
         for a, b, i, j in overlaps:
@@ -353,7 +344,7 @@ def validate(tree_set, method="direct"):
                 "coverage", k, (na,), (w,),
                 f"tree {k}: expanded codeword {w!r} ({na}) "
                 f"has no prefix in the tree's mode"))
-    report = ValidationReport(method, violations)
+    report = ValidationReport(method, violations, delay)
     tree_set._reports[method] = report
     return report
 
@@ -364,24 +355,10 @@ def decoding_delay(tree_set):
     This is the longest mode member that actually occurs as a prefix of
     some expanded codeword of its own tree.  The decoder confirms a
     symbol as soon as such a member is seen, so no decision ever waits
-    for more bits than this.  Each expanded word's prefixes at the
-    mode's member lengths are looked up among the (length, value) pairs
-    of the set's integer table.
+    for more bits than this.  ``validate`` reads it off its sweep, so
+    this is the ``delay`` of the set's validation report.
     """
-    tree_set.ensure_valid()
-    tab = table(tree_set)
-    queries = tab.queries
-    worst = 0
-    for k, row in enumerate(tab.cwords):
-        mode = set(queries[k])
-        lengths = {n for n, _ in mode}
-        for clen, cval, point in row:
-            for qlen, qval in queries[point]:
-                wlen, wval = clen + qlen, cval << qlen | qval
-                for n in lengths:
-                    if worst < n <= wlen and (n, wval >> (wlen - n)) in mode:
-                        worst = n
-    return worst
+    return tree_set.ensure_valid().delay
 
 
 def is_full(tree_set):
@@ -397,10 +374,10 @@ def is_full(tree_set):
     if tree_set.trees[0].mode != frozenset([EMPTY]):
         return False
     tab = table(tree_set)
-    for tree, row in zip(tree_set.trees, tab.cwords):
+    for tree, row in zip(tree_set.trees, tab.rows):
         flat = [BitString(cval << qlen | qval, clen + qlen)
-                for clen, cval, point in row
-                for qlen, qval in tab.queries[point]]
+                for _, clen, cval, _, follow in row
+                for qlen, qval in follow]
         if reduce_words(tree.mode) != reduce_words(flat):
             return False
     return True

@@ -34,7 +34,7 @@ import struct
 from .bitstring import BitString, sort_key
 from .codetree import CodeTree, CodeTreeSet
 from .errors import AifvError, FormatError
-from .transform import ConventionalTree, VVCodeTable
+from .transform import VVCodeTable
 
 MAGIC = b"AIFV"
 VERSION = 1
@@ -182,7 +182,10 @@ def parse_distribution(doc):
 
 
 def parse_conventional(doc):
-    """Read conventional trees: kind, m, convention, symbols, trees."""
+    """Read conventional trees: kind, m, convention, symbols, trees.
+
+    Each tree is the list of its codewords, one per symbol.
+    """
     kind = _object(doc).get("kind")
     if kind not in ("aifv2", "aifvm"):
         raise FormatError("'kind' must be \"aifv2\" or \"aifvm\"")
@@ -209,24 +212,28 @@ def parse_conventional(doc):
                               f"list")
         if symbols is not None and len(cwords) != len(symbols):
             raise FormatError(f"tree {k}: expected one codeword per symbol")
-        trees.append(ConventionalTree(
-            [_bits_from_text(w, f"tree {k}") for w in cwords]))
-    if any(len(t.cwords) != len(trees[0].cwords) for t in trees):
+        trees.append([_bits_from_text(w, f"tree {k}") for w in cwords])
+    if any(len(t) != len(trees[0]) for t in trees):
         raise FormatError("all trees must cover the same alphabet")
     return kind, m, convention, symbols, trees
 
 
-def _parse_state_key(key, symbols, where):
+def _parse_state_key(key, symbols, where, seen=None):
+    # ``seen`` maps each sequence parsed so far to its key
     if not isinstance(key, str):
         raise FormatError(f"{where}: keys must be strings")
-    if key == "":
-        return ()
     by_name = {s: i for i, s in enumerate(symbols)}
     tokens = key.split(" ") if " " in key else list(key)
     try:
-        return tuple(by_name[tok] for tok in tokens)
+        seq = tuple(by_name[tok] for tok in tokens)
     except KeyError as exc:
         raise FormatError(f"{where}: unknown symbol in key {key!r}") from exc
+    if seen is not None:
+        if seq in seen:
+            raise FormatError(f"{where}: keys {seen[seq]!r} and {key!r} "
+                              f"name the same sequence")
+        seen[seq] = key
+    return seq
 
 
 def parse_vv_table(doc):
@@ -249,8 +256,9 @@ def parse_vv_table(doc):
         raise FormatError("document needs 'states' and 'blocks' objects")
     lcwords = {}
     follows = {}
+    seen = {}
     for key, entry in states_doc.items():
-        s = _parse_state_key(key, symbols, "states")
+        s = _parse_state_key(key, symbols, "states", seen)
         if not isinstance(entry, dict):
             raise FormatError(f"state {key!r} must be an object")
         lcwords[s] = _bits_from_text(entry.get("lcword", ""),
@@ -262,8 +270,9 @@ def parse_vv_table(doc):
         follows[s] = [_bits_from_text(w, f"state {key!r}") for w in follow]
     blocks = {}
     recurrences = {}
+    seen = {}
     for key, entry in blocks_doc.items():
-        b = _parse_state_key(key, symbols, "blocks")
+        b = _parse_state_key(key, symbols, "blocks", seen)
         if isinstance(entry, str):
             blocks[b] = _bits_from_text(entry, f"block {key!r}")
         elif isinstance(entry, dict):

@@ -17,10 +17,10 @@ Three sources are covered:
   or NormalizationFailed is raised.
 
 * ``import_aifv2`` / ``import_aifvm`` accept conventional code trees
-  given purely as codeword assignments, check their structural rules,
-  recover the tree-switching behaviour from each symbol node's chain of
-  single-child descendants, and infer every tree's mode from the set of
-  bit patterns the trees can actually emit.
+  given purely as lists of codewords, one per symbol, check their
+  structural rules, recover the tree-switching behaviour from each
+  symbol node's chain of single-child descendants, and infer every
+  tree's mode from the set of bit patterns the trees can actually emit.
 """
 
 from __future__ import annotations
@@ -250,17 +250,6 @@ def vv_to_tree_set(table):
     return result
 
 
-class ConventionalTree:
-    """One tree given only by its codeword per symbol."""
-
-    __slots__ = ("cwords",)
-
-    def __init__(self, cwords):
-        self.cwords = tuple(cwords)
-        if not self.cwords:
-            raise StructureViolation("a tree needs at least one codeword")
-
-
 def _build_nodes(cwords):
     # nodes are (depth, path-value) pairs; derive the tree from the
     # prefix closure of the codeword paths
@@ -349,10 +338,10 @@ def _infer_modes(tables, n_bits):
 
 
 def _assemble(conventional, points_per_tree, n_bits, symbols):
-    modes = _infer_modes([list(zip(tree.cwords, points)) for tree, points
+    modes = _infer_modes([list(zip(cwords, points)) for cwords, points
                           in zip(conventional, points_per_tree)], n_bits)
-    trees = [CodeTree(tree.cwords, points, mode)
-             for tree, points, mode in
+    trees = [CodeTree(cwords, points, mode)
+             for cwords, points, mode in
              zip(conventional, points_per_tree, modes)]
     result = CodeTreeSet(trees, symbols)
     report = validate(result)
@@ -372,16 +361,15 @@ def import_aifv2(trees, symbols=None):
     on its '0' side.  A leaf symbol keeps the encoder on tree 0; a
     symbol on an internal node switches it to tree 1.
     """
-    trees = [tree if isinstance(tree, ConventionalTree)
-             else ConventionalTree(tree) for tree in trees]
+    trees = [list(tree) for tree in trees]
     if len(trees) != 2:
         raise StructureViolation("expected exactly two trees")
     points_per_tree = []
     for t, tree in enumerate(trees):
-        nodes, children, symbol_at = _build_nodes(tree.cwords)
+        nodes, children, symbol_at = _build_nodes(tree)
         _check_common(t, nodes, children, symbol_at)
         points = []
-        for a, w in enumerate(tree.cwords):
+        for a, w in enumerate(tree):
             node = (w.length, w.value)
             if not children.get(node):
                 points.append(0)
@@ -424,18 +412,17 @@ def import_aifvm(trees, m, symbols=None, convention="degree"):
     """
     if convention not in ("degree", "complement"):
         raise ValueError(f"unknown switching convention {convention!r}")
-    trees = [tree if isinstance(tree, ConventionalTree)
-             else ConventionalTree(tree) for tree in trees]
+    trees = [list(tree) for tree in trees]
     if m < 2:
         raise StructureViolation("m must be at least 2")
     if len(trees) != m:
         raise StructureViolation(f"expected {m} trees, got {len(trees)}")
     points_per_tree = []
     for t, tree in enumerate(trees):
-        nodes, children, symbol_at = _build_nodes(tree.cwords)
+        nodes, children, symbol_at = _build_nodes(tree)
         _check_common(t, nodes, children, symbol_at)
         points = []
-        for a, w in enumerate(tree.cwords):
+        for a, w in enumerate(tree):
             node = (w.length, w.value)
             degree = _chain_degree(children, symbol_at, node) \
                 if children.get(node) else 0

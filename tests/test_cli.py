@@ -308,9 +308,26 @@ def test_convert_vv_command(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_convert_vv_refuses_two_spellings_of_one_key(capsys, tmp_path):
+    doc = examples.tunstall_vv_doc()
+    doc["states"]["a a"] = {"lcword": "1", "follow": ["0"]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_document(doc))
+    code, out, err = run(capsys, "convert-vv", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: states: keys 'a a' and 'aa' name the same " \
+        "sequence\n"
+
+
 def test_delay_command(capsys, trees_path):
     code, out, _ = run(capsys, "delay", trees_path)
     assert (code, out) == (0, "3\n")
+
+
+def test_delay_command_refuses_a_broken_set(capsys, broken_path):
+    code, out, err = run(capsys, "delay", broken_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: code-tree set fails the decodability")
 
 
 def test_delay_cap_environment(capsys, trees_path, monkeypatch):

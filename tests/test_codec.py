@@ -132,6 +132,15 @@ def test_symbol_out_of_range():
         encode(ts, [-1])
 
 
+def test_symbol_ids_must_be_ints_inside_the_alphabet():
+    ts = examples.binary_delay3_set()
+    for x in (-1, ts.symbol_count, 2 ** 70):
+        with pytest.raises(SymbolOutOfRange):
+            encode(ts, [0, x])
+    with pytest.raises(TypeError):
+        encode(ts, [0, 1.0])
+
+
 def test_round_trip_exhaustive_on_examples():
     for ts in [examples.binary_delay3_set(), examples.ternary_full_set(),
                examples.skewed_delay3_set()]:

@@ -118,6 +118,11 @@ def test_unreachable_tree_reported():
         ts.ensure_valid()
 
 
+def test_decoding_delay_refuses_a_broken_set():
+    with pytest.raises(Unvalidated):
+        decoding_delay(broken_variant())
+
+
 def test_unvalidated_carries_report():
     ts = broken_variant()
     with pytest.raises(Unvalidated) as err:
@@ -362,9 +367,12 @@ def test_validate_and_delay_match_oracles_on_generated_sets(rng, width):
     base = random_valid_tree_set(rng)
     ts = stretch(base, rng, width)
     assert_reports_match_oracle(ts)
-    assert decoding_delay(ts) == width * decoding_delay(base) == max(
+    delay = max(
         q.length for k, t in enumerate(ts.trees) for q in t.mode
         if any(is_prefix(q, w) for ws in expands(ts, k) for w in ws))
+    # the sweep reads the delay off, whichever way it tests containment
+    assert validate(ts, "direct").delay == validate(ts, "interval").delay \
+        == decoding_delay(ts) == width * decoding_delay(base) == delay
     assert_reports_match_oracle(mutate_tree_set(rng, ts))
 
 

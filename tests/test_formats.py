@@ -138,7 +138,7 @@ def test_parse_conventional_documents():
     assert (kind, m) == ("aifv2", 2)
     assert symbols == ["a", "b", "c", "d"]
     assert len(trees) == 2
-    assert [w.text() for w in trees[0].cwords] == ["0", "10", "11", "1100"]
+    assert [w.text() for w in trees[0]] == ["0", "10", "11", "1100"]
 
     kind, m, convention, symbols, trees = parse_conventional(
         examples.skewed_aifv3_doc())
@@ -190,6 +190,19 @@ def test_parse_vv_table_documents():
         parse_vv_table(bad)
 
 
+def test_parse_vv_table_rejects_two_spellings_of_one_key():
+    # "a a" and "aa" both name the sequence (0, 0); neither may silently
+    # replace the other
+    bad = examples.tunstall_vv_doc()
+    bad["states"]["a a"] = {"lcword": "1", "follow": ["0"]}
+    with pytest.raises(FormatError, match="'a a'"):
+        parse_vv_table(bad)
+    bad = examples.tunstall_vv_doc()
+    bad["blocks"]["b b"] = bad["blocks"]["bb"]
+    with pytest.raises(FormatError, match="'b b'"):
+        parse_vv_table(bad)
+
+
 def test_bad_bit_strings_are_one_format_error():
     # whatever is wrong with a word, the message is the same
     for word in ["01x", "0b1", "1_0", " 1", "1 ", "0\u0661", 1, True, None,
@@ -201,7 +214,7 @@ def test_bad_bit_strings_are_one_format_error():
             parse_conventional(doc)
         assert str(err.value) == message
     doc = {"kind": "aifv2", "trees": [{"codewords": ["", "0" * 3000]}]}
-    assert parse_conventional(doc)[4][0].cwords[1] == BitString(0, 3000)
+    assert parse_conventional(doc)[4][0][1] == BitString(0, 3000)
     # a code-tree set document names the tree and the list, once
     good = tree_set_to_doc(examples.binary_delay3_set())
     for key, word in [("codewords", "x"), ("mode", 5)]:

@@ -303,6 +303,15 @@ def test_import_rejects_bad_structure():
                       [bits("00"), bits("01"), bits("10"), bits("11")]])
 
 
+def test_importers_refuse_an_empty_tree():
+    # a tree with no codeword is a root leaf that carries no symbol
+    for trees in ([[], []], [[bits("0"), bits("1")], []]):
+        with pytest.raises(StructureViolation, match="carries no symbol"):
+            import_aifv2(trees)
+        with pytest.raises(StructureViolation, match="carries no symbol"):
+            import_aifvm(trees, 2)
+
+
 def test_import_aifvm_rejects_deep_chains_and_bad_m():
     # a chain of two bare '0'-linked nodes needs at least three trees
     deep = [bits(""), bits("000")]
