@@ -50,6 +50,17 @@ def _bits_from_text(text, where):
     raise FormatError(f"{where}: expected a string of bits, got {text!r}")
 
 
+def _check_symbol_names(names):
+    # the CLI prints decoded names joined by spaces and reads symbol
+    # text split on whitespace, so each name must be one distinct token
+    for name in names:
+        if name.split() != [name]:
+            raise FormatError(f"symbol name {name!r} must be non-empty "
+                              f"and hold no whitespace")
+    if len(set(names)) != len(names):
+        raise FormatError("symbol names must be unique")
+
+
 def _word_list(words):
     return [w.text() for w in sorted(words, key=sort_key)]
 
@@ -116,8 +127,8 @@ def parse_tree_set(doc):
                           "of symbol names")
     if count < 1:
         raise FormatError("alphabet must have at least one symbol")
-    if symbols is not None and len(set(symbols)) != count:
-        raise FormatError("symbol names must be unique")
+    if symbols is not None:
+        _check_symbol_names(symbols)
     names = []
     for k, entry in enumerate(doc["trees"]):
         if not isinstance(entry, dict):
@@ -160,15 +171,9 @@ def parse_tree_set(doc):
             points.append(target)
         words = [_bits_from_text(w, f"{where} codewords") for w in cwords]
         members = [_bits_from_text(w, f"{where} mode") for w in mode]
-        try:
-            trees.append(CodeTree(words, points, members))
-        except AifvError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+        trees.append(CodeTree(words, points, members))
     tree_names = tuple(names) if names[0] is not None else None
-    try:
-        return CodeTreeSet(trees, symbols, tree_names)
-    except AifvError as exc:
-        raise FormatError(str(exc)) from exc
+    return CodeTreeSet(trees, symbols, tree_names)
 
 
 def parse_distribution(doc):
@@ -197,6 +202,8 @@ def parse_conventional(doc):
             not isinstance(symbols, list)
             or not all(isinstance(s, str) for s in symbols)):
         raise FormatError("'symbols' must be a list of names")
+    if symbols is not None:
+        _check_symbol_names(symbols)
     m = doc.get("m", 2 if kind == "aifv2" else len(trees_doc))
     if not isinstance(m, int) or isinstance(m, bool):
         raise FormatError("'m' must be an integer")
@@ -218,11 +225,10 @@ def parse_conventional(doc):
     return kind, m, convention, symbols, trees
 
 
-def _parse_state_key(key, symbols, where, seen=None):
-    # ``seen`` maps each sequence parsed so far to its key
+def _parse_state_key(key, by_name, where, seen=None):
+    # ``by_name`` maps names to ids, ``seen`` each parsed sequence to its key
     if not isinstance(key, str):
         raise FormatError(f"{where}: keys must be strings")
-    by_name = {s: i for i, s in enumerate(symbols)}
     tokens = key.split(" ") if " " in key else list(key)
     try:
         seq = tuple(by_name[tok] for tok in tokens)
@@ -250,6 +256,8 @@ def parse_vv_table(doc):
     if not isinstance(symbols, list) or not symbols or \
             not all(isinstance(s, str) for s in symbols):
         raise FormatError("'symbols' must be a non-empty list of names")
+    _check_symbol_names(symbols)
+    by_name = {s: i for i, s in enumerate(symbols)}
     states_doc = doc.get("states")
     blocks_doc = doc.get("blocks")
     if not isinstance(states_doc, dict) or not isinstance(blocks_doc, dict):
@@ -258,7 +266,7 @@ def parse_vv_table(doc):
     follows = {}
     seen = {}
     for key, entry in states_doc.items():
-        s = _parse_state_key(key, symbols, "states", seen)
+        s = _parse_state_key(key, by_name, "states", seen)
         if not isinstance(entry, dict):
             raise FormatError(f"state {key!r} must be an object")
         lcwords[s] = _bits_from_text(entry.get("lcword", ""),
@@ -272,7 +280,7 @@ def parse_vv_table(doc):
     recurrences = {}
     seen = {}
     for key, entry in blocks_doc.items():
-        b = _parse_state_key(key, symbols, "blocks", seen)
+        b = _parse_state_key(key, by_name, "blocks", seen)
         if isinstance(entry, str):
             blocks[b] = _bits_from_text(entry, f"block {key!r}")
         elif isinstance(entry, dict):
@@ -280,7 +288,7 @@ def parse_vv_table(doc):
                                         f"block {key!r}")
             if "recurrence" in entry:
                 recurrences[b] = _parse_state_key(entry["recurrence"],
-                                                  symbols, f"block {key!r}")
+                                                  by_name, f"block {key!r}")
         else:
             raise FormatError(f"block {key!r} must be a codeword or an "
                               f"object")

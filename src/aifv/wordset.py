@@ -10,6 +10,9 @@ one-bit extensions of v belong to the closure.
 ``reduce`` returns the minimal elements of that closure.  The result is
 always prefix-free, covers exactly the same infinite sequences as the
 input, and is the canonical representative used when comparing modes.
+
+``reduce`` and ``is_prefix_free`` sweep the members once, sorted as
+'0'/'1' text: that is interval order, each word before its extensions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .bitstring import (BitString, is_prefix, longest_common_prefix,
-                        sort_key, strip_prefix)
+                        strip_prefix)
 from .errors import CapExceeded, InvalidSet
 
 # enumerate_basic_modes is super-exponential in n; 3 covers practical use
@@ -45,12 +48,10 @@ def common_prefix(words):
 
 def is_prefix_free(words):
     """True when no member is a proper prefix of another member."""
-    ws = sorted(_as_set(words), key=sort_key)
-    for i, w1 in enumerate(ws):
-        for w2 in ws[i + 1:]:
-            if w1.length < w2.length and is_prefix(w1, w2):
-                return False
-    return True
+    # when a is a proper prefix of b, every text from a up to b in sorted
+    # order starts with a, so the member right after a does too
+    ws = sorted(w.text() for w in _as_set(words))
+    return not any(b.startswith(a) for a, b in zip(ws, ws[1:]))
 
 
 def in_full_closure(words, prefix):
@@ -65,37 +66,24 @@ def reduce(words):
     The result is prefix-free and its closure equals the closure of the
     input.  If the input covers every infinite sequence the result is
     the singleton containing the empty string.
+
+    One pass in text order keeps the result so far on a stack of
+    (length, value) pairs.  A member under the top is skipped; a right
+    child whose left sibling is the top merges with it into the parent.
     """
-    ws = _as_set(words)
-    members = {(w.length, w.value) for w in ws}
-    # nodes are (length, value) pairs; only prefixes of members can be
-    # full without a member above them, so the trie of those prefixes
-    # bounds the work by the total member bits
-    trie = set()
-    for length, value in members:
-        while length >= 0 and (length, value) not in trie:
-            trie.add((length, value))
-            length, value = length - 1, value >> 1
-    # a node is full when it is a member or both children are full;
-    # deepest nodes first, so children are decided before their parent
-    full = set()
-    for length, value in sorted(trie, reverse=True):
-        if (length, value) in members or (
-                (length + 1, value << 1) in full
-                and (length + 1, value << 1 | 1) in full):
-            full.add((length, value))
-    # the topmost full nodes are the minimal elements of the closure
     out = []
-    stack = [(0, 0)]
-    while stack:
-        length, value = node = stack.pop()
-        if node in full:
-            out.append(BitString(value, length))
-            continue
-        for child in ((length + 1, value << 1), (length + 1, value << 1 | 1)):
-            if child in trie:
-                stack.append(child)
-    return frozenset(out)
+    for w in sorted(_as_set(words), key=BitString.text):
+        length, value = w.length, w.value
+        if out:
+            top_length, top_value = out[-1]
+            if top_length <= length and \
+                    value >> (length - top_length) == top_value:
+                continue
+        while value & 1 and out and out[-1] == (length, value - 1):
+            out.pop()
+            length, value = length - 1, value >> 1
+        out.append((length, value))
+    return frozenset(BitString(value, length) for length, value in out)
 
 
 def to_basic_mode(words):

@@ -261,3 +261,10 @@ def test_monte_carlo_tracks_expected_length():
     E = expected_code_length(sk, dist)
     rate = monte_carlo_rate(sk, dist, 50_000, seed=11)
     assert abs(rate - E) < 0.01
+
+
+def test_monte_carlo_refuses_a_negative_sample_size():
+    sk = examples.skewed_delay3_set()
+    with pytest.raises(ValueError, match="sample size must be "
+                                         "non-negative"):
+        monte_carlo_rate(sk, examples.skewed_distribution(), -1)

@@ -295,6 +295,59 @@ def test_import_and_validate_output(capsys, tmp_path):
     assert (code, out) == (0, "0111101\n")
 
 
+def test_import_refuses_duplicate_symbol_names(capsys, tmp_path):
+    doc = examples.quaternary_aifv2_doc()
+    doc["symbols"] = ["a", "a", "c", "d"]
+    src = tmp_path / "conventional.json"
+    src.write_text(dumps_document(doc))
+    code, out, err = run(capsys, "import", str(src))
+    assert (code, out, err) == (2, "", "error: symbol names must be unique\n")
+
+
+def test_symbol_names_the_cli_cannot_read_back_exit_2(capsys, tmp_path):
+    # '' would vanish from decoded text, and 'a b' would read back as
+    # two symbols
+    for names in (["", "b"], ["a b", "c"]):
+        path = tmp_path / "names.json"
+        path.write_text(dumps_document({
+            "alphabet": names,
+            "trees": [{"mode": [""], "codewords": ["0", "1"],
+                       "next": [0, 0]}]}))
+        code, out, err = run(capsys, "decode", str(path), "--bits", "01",
+                             "--length", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: symbol name {names[0]!r} must be " \
+            f"non-empty and hold no whitespace\n"
+
+
+def test_duplicate_tree_names_exit_2(capsys, tmp_path):
+    tree = {"name": "t", "mode": [""], "codewords": ["0", "1"],
+            "next": [0, 0]}
+    path = tmp_path / "named.json"
+    path.write_text(dumps_document({"alphabet": 2, "trees": [tree, tree]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", "error: tree names must be unique\n")
+
+
+def test_reduce_long_mode_member_is_fast(capsys, tmp_path):
+    # tree 1's one mode member is a random 100,000-bit word
+    word = format(random.Random(5).getrandbits(100_000), "0100000b")
+    path = tmp_path / "long.json"
+    path.write_text(dumps_document({
+        "alphabet": 2,
+        "trees": [{"mode": [""], "codewords": ["0", "1"], "next": [0, 1]},
+                  {"mode": [word], "codewords": [word + "0", word + "1"],
+                   "next": [0, 0]}]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = loads_document(out)
+    assert [t["mode"] for t in doc["trees"]] == [[""], [""]]
+    assert doc["trees"][0]["codewords"] == ["0", "1" + word]
+    assert doc["trees"][1]["codewords"] == ["0", "1"]
+
+
 def test_convert_vv_command(capsys, tmp_path):
     src = tmp_path / "table.json"
     src.write_text(dumps_document(examples.pair_huffman_vv_doc()))

@@ -269,3 +269,105 @@ def test_read_bitstream_ends_in_a_result_or_format_error(lead, rest):
     except FormatError:
         return
     assert write_bitstream(bits_read, count) == data
+
+
+def test_symbol_names_must_read_back():
+    # the CLI prints decoded names joined by spaces and splits symbol
+    # text on whitespace, so each parser refuses names it cannot read
+    # back
+    tree_doc = {"trees": [{"mode": [""], "codewords": ["0", "1"],
+                           "next": [0, 0]}]}
+    parsers = [
+        (parse_tree_set, lambda names: dict(tree_doc, alphabet=names)),
+        (parse_conventional,
+         lambda names: dict(examples.quaternary_aifv2_doc(), symbols=names)),
+        (parse_vv_table,
+         lambda names: dict(examples.tunstall_vv_doc(), symbols=names)),
+    ]
+    cases = [
+        (["a", "a"], "symbol names must be unique"),
+        (["", "b"], "symbol name '' must be non-empty and hold no "
+                    "whitespace"),
+        (["a b", "c"], "symbol name 'a b' must be non-empty and hold no "
+                       "whitespace"),
+        (["a", "b\n"], "symbol name 'b\\n' must be non-empty and hold no "
+                       "whitespace"),
+    ]
+    for parse, doc in parsers:
+        for names, message in cases:
+            with pytest.raises(FormatError) as err:
+                parse(doc(names))
+            assert str(err.value) == message
+    assert parse_tree_set(dict(tree_doc, alphabet=["x1", "é"])).symbols \
+        == ("x1", "é")
+
+
+def test_parse_tree_set_refusals():
+    one = {"alphabet": 2,
+           "trees": [{"mode": [""], "codewords": ["0", "1"],
+                      "next": [0, 0]}]}
+    named = dict(one, trees=[dict(one["trees"][0], name="t"),
+                             dict(one["trees"][0], name="t")])
+    cases = [
+        (dict(one, trees=[5]), "tree 0 must be an object"),
+        (named, "tree names must be unique"),
+        (dict(one, trees=[dict(one["trees"][0], next=[True, 0])]),
+         "tree 0: bad tree reference True"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_tree_set(doc)
+        assert str(err.value) == message
+
+
+def test_parse_conventional_refusals():
+    good = examples.quaternary_aifv2_doc()
+    cases = [
+        (dict(good, symbols=["a", "b", "c", 4]),
+         "'symbols' must be a list of names"),
+        (dict(good, convention="sideways"),
+         "'convention' must be \"degree\" or \"complement\""),
+        (dict(good, trees=[{"codewords": []}]),
+         "tree 0: 'codewords' must be a non-empty list"),
+        (dict(good, symbols=["a", "b", "c"]),
+         "tree 0: expected one codeword per symbol"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_conventional(doc)
+        assert str(err.value) == message
+
+
+def test_parse_vv_table_refusals():
+    def broken(mutate):
+        doc = examples.tunstall_vv_doc()
+        mutate(doc)
+        return doc
+
+    cases = [
+        (broken(lambda d: d["blocks"].__setitem__(
+            "aaab", {"codeword": "001", "recurrence": 0})),
+         "block 'aaab': keys must be strings"),
+        (broken(lambda d: d["states"].__setitem__("a", "0")),
+         "state 'a' must be an object"),
+        (broken(lambda d: d["blocks"].__setitem__("bb", 7)),
+         "block 'bb' must be a codeword or an object"),
+        (broken(lambda d: d.__setitem__("depth", 0)),
+         "parse depth must be at least 1"),
+        (broken(lambda d: d["states"].__setitem__(
+            "bbb", {"lcword": "11", "follow": ["1"]})),
+         "state (1, 1, 1) has no parent state"),
+        (broken(lambda d: d["states"].__setitem__(
+            "bb", {"lcword": "11", "follow": ["1"]})),
+         "(1, 1) is both a state and a block"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_vv_table(doc)
+        assert str(err.value) == message
+
+
+def test_write_bitstream_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="symbol count must be "
+                                         "non-negative"):
+        write_bitstream(bits("01"), -1)

@@ -200,6 +200,42 @@ def test_vv_normalization_lowers_overstated_prefixes():
         vv_to_tree_set(table)
 
 
+def test_vv_normalization_lowers_a_parent_onto_a_shorter_child_state():
+    # state "ab" guarantees only "0", and "0" + its follow "1" leaves
+    # the parent's "00", so the parent "a" is lowered onto "0" rather
+    # than the child raised
+    table = VVCodeTable(
+        depth=3, symbols=["a", "b"],
+        lcwords={(): bits(""), (0,): bits("00"), (0, 1): bits("0")},
+        follows={(): [bits("")], (0,): [bits("0"), bits("1")],
+                 (0, 1): [bits("1")]},
+        blocks={(0, 0): bits("000"), (0, 1, 0): bits("010"),
+                (0, 1, 1): bits("011"), (1,): bits("1")})
+    lcwords, follows = _normalize_vv(table)
+    assert lcwords == {(): bits(""), (0,): bits("0"), (0, 1): bits("0")}
+    assert follows == {(): frozenset([bits("")]),
+                       (0,): frozenset([bits("00"), bits("01")]),
+                       (0, 1): frozenset([bits("1")])}
+    with pytest.raises(NormalizationFailed) as err:
+        vv_to_tree_set(table)
+    assert str(err.value) == "normalized table is not decodable: tree 1: " \
+        "expanded codeword '1' (b) has no prefix in the tree's mode"
+
+
+def test_vv_normalization_rejects_an_incomparable_child_state():
+    table = VVCodeTable(
+        depth=3, symbols=["a", "b"],
+        lcwords={(): bits(""), (0,): bits("00"), (0, 0): bits("01")},
+        follows={(): [bits("")], (0,): [bits("0"), bits("1")],
+                 (0, 0): [bits("0"), bits("1")]},
+        blocks={(0, 0, 0): bits("010"), (0, 0, 1): bits("011"),
+                (0, 1): bits("01"), (1,): bits("1")})
+    with pytest.raises(NormalizationFailed) as err:
+        _normalize_vv(table)
+    assert str(err.value) == \
+        "state (0, 0): guaranteed bits '01' conflict with '00'"
+
+
 def test_vv_normalization_rejects_incomparable_words():
     table = VVCodeTable(
         depth=2, symbols=["a", "b"],
@@ -301,6 +337,19 @@ def test_import_rejects_bad_structure():
     with pytest.raises(StructureViolation):
         import_aifv2([[bits("0"), bits("10"), bits("11"), bits("1100")],
                       [bits("00"), bits("01"), bits("10"), bits("11")]])
+
+
+def test_import_aifv2_refusal_messages():
+    fig = examples.quaternary_aifv2_doc()["trees"]
+    fig_t0, fig_t1 = ([bits(w) for w in t["codewords"]] for t in fig)
+    # symbol 1 sits on '1' whose single '0' child is itself a symbol
+    with pytest.raises(StructureViolation) as err:
+        import_aifv2([[bits("0"), bits("1"), bits("10")], fig_t1])
+    assert str(err.value) == \
+        "tree 0: symbol 1 is not two '0' edges above its subtree"
+    with pytest.raises(StructureViolation) as err:
+        import_aifv2([fig_t0, [bits("00"), bits("01")]])
+    assert str(err.value) == "tree 1: the root must have both children"
 
 
 def test_importers_refuse_an_empty_tree():

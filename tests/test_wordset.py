@@ -1,6 +1,7 @@
 """Word-set operations against pinned values and the interval oracle."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,20 @@ def test_is_prefix_free_examples():
     assert not is_prefix_free(words("0", "01"))
     assert is_prefix_free(words(""))
     assert not is_prefix_free(words("", "1"))
+
+
+def test_is_prefix_free_against_all_pairs():
+    # sets under a common head differ only past it
+    rng = random.Random(SEED + 4)
+    for _ in range(3000):
+        ws = random_word_set(rng, max_len=5, max_words=8)
+        if rng.random() < 0.5:
+            n = rng.randint(1, 40)
+            head = BitString(rng.getrandbits(n), n)
+            ws = frozenset(head + w for w in ws)
+        pairs = not any(a != b and b.text().startswith(a.text())
+                        for a in ws for b in ws)
+        assert is_prefix_free(ws) == pairs
 
 
 def test_reduce_pinned_fixture():
@@ -118,6 +133,21 @@ def test_reduce_deep_member_needs_no_recursion():
     assert reduce(ws) == ws
     assert in_full_closure(ws, bits("0" * 2001))
     assert not in_full_closure(ws, bits("0" * 1999))
+
+
+def test_reduce_long_member_costs_its_own_bits():
+    # one 100,000-bit member among 2048 odd 12-bit words; its 12-bit
+    # head is even, so it stays a minimal element of the closure
+    rng = random.Random(SEED + 5)
+    n = 100_000
+    long = BitString(rng.getrandbits(n) & ~(1 << (n - 12)), n)
+    odd = frozenset(BitString(2 * v + 1, 12) for v in range(2048))
+    ws = odd | {long}
+    start = time.perf_counter()
+    red = reduce(ws)
+    assert time.perf_counter() - start < 0.5
+    assert red == ws
+    assert sum(Fraction(1, 1 << r.length) for r in red) == union_measure(ws)
 
 
 def test_reduce_is_prefix_free_and_idempotent():
