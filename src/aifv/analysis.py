@@ -29,21 +29,26 @@ MC_BLOCK = 1 << 16
 
 
 def _check_probabilities(dist):
-    # written so that NaN fails it; a subnormal probability is refused
-    # because the linear solves in stationary turn it into NaN
+    """``dist`` as floats; ValueError unless they form a distribution."""
+    # an integer too large for a float fails as NaN does; the test is
+    # written so that NaN fails it, and a subnormal probability is
+    # refused because the linear solves in stationary turn it into NaN
+    try:
+        dist = [float(p) for p in dist]
+    except OverflowError:
+        dist = [math.nan]
     if not (all(p == 0 or p >= sys.float_info.min for p in dist)
             and abs(sum(dist) - 1.0) <= 1e-9):
         raise ValueError("probabilities must be zero or normal positive "
                          "floats and sum to 1")
+    return dist
 
 
 def _check_dist(tree_set, dist):
-    dist = [float(p) for p in dist]
     if len(dist) != tree_set.symbol_count:
         raise DimensionMismatch(
             f"{len(dist)} probabilities for {tree_set.symbol_count} symbols")
-    _check_probabilities(dist)
-    return dist
+    return _check_probabilities(dist)
 
 
 def transition_matrix(tree_set, dist):
@@ -167,8 +172,7 @@ def rate_and_stationary(tree_set, dist):
 
 def entropy(dist):
     """Shannon entropy of a distribution, in bits per symbol."""
-    dist = [float(p) for p in dist]
-    _check_probabilities(dist)
+    dist = _check_probabilities(dist)
     return -sum(p * math.log2(p) for p in dist if p > 0)
 
 

@@ -106,10 +106,7 @@ def longest_common_prefix(w1, w2):
     """The longest string that is a prefix of both arguments."""
     n = min(w1.length, w2.length)
     a = w1.value >> (w1.length - n)
-    b = w2.value >> (w2.length - n)
-    while n and a != b:
-        a >>= 1
-        b >>= 1
-        n -= 1
-    return BitString(a, n)
+    # the highest differing bit and every bit below it are cut off
+    d = (a ^ (w2.value >> (w2.length - n))).bit_length()
+    return BitString(a >> d, n - d)
 

@@ -76,16 +76,13 @@ def _load_tree_set(path):
 
 def _parse_symbol_text(text, tree_set):
     index = {name: a for a, name in enumerate(tree_set.symbols)}
-    single = all(len(name) == 1 for name in tree_set.symbols)
-    out = []
-    for token in text.split():
-        if token in index:
-            out.append(index[token])
-        elif single and all(ch in index for ch in token):
-            out.extend(index[ch] for ch in token)
-        else:
-            raise FormatError(f"unknown symbol {token!r}")
-    return out
+    tokens = text.split()
+    if all(len(name) == 1 for name in tree_set.symbols):
+        tokens = "".join(tokens)  # then 'abba' reads as 'a b b a'
+    try:
+        return [index[token] for token in tokens]
+    except KeyError as exc:
+        raise FormatError(f"unknown symbol {exc.args[0]!r}") from None
 
 
 def _violation_dict(v):

@@ -32,22 +32,21 @@ both end inside it.  This is table-lookup decoding of prefix codes
 the decoder caches, per tree and ``_RUN_BITS``-bit peek, the run of
 symbols the peek decides, and on a later visit emits the whole run at
 once.  On a skewed source, where most symbols cost 0 or 1 bits, one
-lookup emits about ten symbols.  A tree none of whose expanded words
-fits in the peek can never start a run; it gets no run slots and walks
-its candidate rows for every symbol, as before.
+lookup emits about ten symbols.  Every tree gets run slots; on a tree
+none of whose expanded words fits in the peek, every peek stores the
+empty run, so its symbols keep the walk.
 
-Both loops run on the rows of the set's integer table
-(``codetree.table``): (symbol, codeword length and value, successor,
+Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
+with the set: (symbol, codeword length and value, successor,
 successor's mode members as (length, value) pairs).  The validator
-reads the same rows, so each set is converted once, by whichever runs
-first; ``reach`` and the run slots are added on the first decode, and
-the runs are filled as decodes meet new peeks.
+reads the same rows.  ``reach`` and the run slots are the decoder's
+own cache, kept on the set and built on its first decode; the runs
+are filled as decodes meet new peeks.
 """
 
 from __future__ import annotations
 
 from .bitstring import BitString
-from .codetree import table
 from .errors import NoMatch, SymbolOutOfRange, Truncated
 
 # the encoder flushes its accumulator's whole bytes once it holds this
@@ -89,7 +88,7 @@ def _encode_body(tree_set, symbols):
     One ``int.from_bytes`` at the end joins the buffer, so the cost is
     linear in the body length.
     """
-    rows = table(tree_set).rows
+    rows = tree_set.rows
     m = len(rows[0])
     out = bytearray()
     acc = 0
@@ -115,7 +114,8 @@ def encode(tree_set, symbols):
     """Encode a symbol sequence, termination included."""
     tree_set.ensure_valid()
     body, k = _encode_body(tree_set, symbols)
-    termination = table(tree_set).terminations[k]
+    qlen, qval = tree_set.queries[k][0]
+    termination = BitString(qval, qlen)
     return EncodeResult(body + termination, body.length, k, termination)
 
 
@@ -157,8 +157,11 @@ def decode(tree_set, bits, length):
     as in the whole stream, and the stream tail is always fully in the
     window.
 
-    A step that has ``_RUN_BITS`` bits in the window peeks at them and
-    looks the peek up in the current tree's run slots.  A stored run
+    ``reach`` and the run slots, one per tree and peek, are built on a
+    set's first decode and kept in its ``_decoder`` slot, so the peek
+    width is fixed for the life of the set.  A step that has
+    ``_RUN_BITS`` bits in the window peeks at them and looks the peek
+    up in the current tree's run slots.  A stored run
     that fits in the symbols still wanted is applied at once: its
     symbols, lookaheads, bits and final tree.  Otherwise the step walks
     the tree's candidate rows and stops at the first confirmed match:
@@ -186,7 +189,14 @@ def decode(tree_set, bits, length):
     if length < 0:
         raise ValueError("symbol count must be non-negative")
     peek_bits = _RUN_BITS
-    rows, reach, runs = table(tree_set).decoder(peek_bits)
+    rows = tree_set.rows
+    if tree_set._decoder is None:
+        # follow[-1] is the successor's longest mode member
+        tree_set._decoder = (
+            max(clen + follow[-1][0]
+                for row in rows for _, clen, _, _, follow in row),
+            [[None] * (1 << peek_bits) for _ in rows])
+    reach, runs = tree_set._decoder
     mask = (1 << peek_bits) - 1
     margin = reach + peek_bits
     cap = len(rows) * (peek_bits + 1)
@@ -211,12 +221,11 @@ def decode(tree_set, bits, length):
             last = (wend + 7) >> 3
             win = int.from_bytes(data[first:last], "big") >> (last * 8 - wend)
             avail = wend - pos
-        slots = runs[k]
-        if slots is not None and rec is None and avail >= peek_bits:
+        if rec is None and avail >= peek_bits:
             peek = (win >> (avail - peek_bits)) & mask
-            run = slots[peek]
+            run = runs[k][peek]
             if run is None:
-                rec = slots
+                rec = runs[k]
                 start = pos
                 end = pos + peek_bits
                 head = i

@@ -25,18 +25,19 @@ order.  ``validate`` therefore finds every comparable pair in one
 sorted sweep per tree, in O(E log E + violations) for E expanded
 codewords.  The innermost mode member open at an expanded word is the
 lookahead the decoder needs for it, so the same sweep yields the
-decoding delay.  The sweep runs on the rows of the set's integer table
-(``table``), where every word is a (length, value) pair: "direct"
-tests prefixes on those pairs, "interval" compares their integer
-interval images, and the two methods agree on every input and produce
-identical reports.  The encoder and decoder read the same rows.
+decoding delay.  The sweep runs on the set's integer rows
+(``CodeTreeSet.rows``), built with the set, where every word is a
+(length, value) pair: "direct" tests prefixes on those pairs,
+"interval" compares their integer interval images, and the two methods
+agree on every input and produce identical reports.  The encoder and
+decoder read the same rows.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import EMPTY, BitString, sort_key
+from .bitstring import EMPTY, BitString
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
 from .wordset import reduce as reduce_words
@@ -77,9 +78,20 @@ def _default_names(m):
 
 
 class CodeTreeSet:
-    """A dense, closed family of code trees sharing one alphabet."""
+    """A dense, closed family of code trees sharing one alphabet.
 
-    __slots__ = ("trees", "symbols", "tree_names", "_reports", "_table")
+    The set also carries its integer view, shared by the validator and
+    the codec.  ``queries[k]`` lists tree k's mode members as
+    ``(len, value)`` pairs in ``sort_key`` order, so shortest first.
+    ``rows[k][a]`` is ``(a, clen, cval, point, queries[point])``:
+    Cword_k(a) as an integer of ``clen`` bits, the tree it hops to, and
+    that tree's mode members.  Expanded word i of symbol a at tree k is
+    ``(clen + qlen, cval << qlen | qval)`` for
+    ``(qlen, qval) = queries[point][i]``.
+    """
+
+    __slots__ = ("trees", "symbols", "tree_names", "queries", "rows",
+                 "_reports", "_decoder")
 
     def __init__(self, trees, symbols=None, tree_names=None):
         trees = tuple(trees)
@@ -109,8 +121,16 @@ class CodeTreeSet:
         self.trees = trees
         self.symbols = symbols
         self.tree_names = tree_names
+        self.queries = queries = [
+            tuple(sorted((q.length, q.value) for q in tree.mode))
+            for tree in trees]
+        self.rows = [
+            tuple((a, w.length, w.value, point, queries[point])
+                  for a, (w, point) in enumerate(zip(tree.cwords,
+                                                     tree.points)))
+            for tree in trees]
         self._reports = {}
-        self._table = None
+        self._decoder = None  # codec.decode's cache, written only there
 
     @property
     def tree_count(self):
@@ -134,72 +154,6 @@ class CodeTreeSet:
                 + "; ".join(v.message for v in report.violations[:3]),
                 report=report)
         return report
-
-
-class _Table:
-    """A set's integer view, shared by the validator and the codec.
-
-    ``rows[k][a]`` is ``(a, clen, cval, point, queries[point])``:
-    Cword_k(a) as an integer of ``clen`` bits, the tree it hops to, and
-    that tree's mode members.  ``queries[k]`` lists tree k's mode
-    members as ``(len, value)`` pairs in ``sort_key`` order, so
-    shortest first, and ``terminations[k]`` is the first of them as a
-    bit string.  Expanded word i of symbol a at tree k is
-    ``(clen + qlen, cval << qlen | qval)`` for
-    ``(qlen, qval) = queries[point][i]``.
-
-    The decoder's part is built on the first decode: ``reach``, the
-    longest expanded word, and ``runs``, which ``codec.decode`` fills
-    as it goes.  ``runs[k][peek]`` caches what the decoder read from
-    tree k when the next stream bits were ``peek``: the run of symbols
-    whose codeword and lookahead both lie inside those bits.  A tree
-    whose every expanded word is longer than the peek can never start a
-    run, and gets ``None`` instead of slots.
-    """
-
-    __slots__ = ("rows", "queries", "terminations", "reach", "runs")
-
-    def __init__(self, tree_set):
-        self.queries = []
-        self.terminations = []
-        for tree in tree_set.trees:
-            mode = sorted(tree.mode, key=sort_key)
-            self.queries.append(tuple((q.length, q.value) for q in mode))
-            self.terminations.append(mode[0])
-        queries = self.queries
-        self.rows = [
-            tuple((a, w.length, w.value, point, queries[point])
-                  for a, (w, point) in enumerate(zip(tree.cwords,
-                                                     tree.points)))
-            for tree in tree_set.trees]
-        self.reach = None
-        self.runs = None
-
-    def decoder(self, peek_bits):
-        """The rows, ``reach`` and run slots, the last two built on first use.
-
-        ``peek_bits`` is the decoder's peek width; it is fixed for the
-        life of the table.
-        """
-        if self.runs is None:
-            # a tree gets run slots iff one of its expanded words fits
-            # in the peek; follow[0] is the successor's shortest member
-            self.runs = [
-                [None] * (1 << peek_bits)
-                if any(clen + follow[0][0] <= peek_bits
-                       for _, clen, _, _, follow in row) else None
-                for row in self.rows]
-            self.reach = max(clen + follow[-1][0] for row in self.rows
-                             for _, clen, _, _, follow in row)
-        return self.rows, self.reach, self.runs
-
-
-def table(tree_set):
-    """The set's integer table, built on first use and then cached."""
-    tab = tree_set._table
-    if tab is None:
-        tab = tree_set._table = _Table(tree_set)
-    return tab
 
 
 class Violation(NamedTuple):
@@ -251,7 +205,7 @@ def _text(word):
 def validate(tree_set, method="direct"):
     """Check decodability; the report lists every violation found.
 
-    Runs on the set's integer table, where every word is a
+    Runs on the set's integer rows, where every word is a
     (length, value) pair.  Each tree's mode members and expanded
     codewords are swept once in order of their intervals (lo, -hi) on
     the scale 2**n of the tree's longest word, mode members ahead of
@@ -291,9 +245,8 @@ def validate(tree_set, method="direct"):
                 "unreachable", k, (), (),
                 f"tree {k} cannot be reached from tree 0"))
     delay = 0
-    tab = table(tree_set)
-    queries = tab.queries
-    for k, row in enumerate(tab.rows):
+    queries = tree_set.queries
+    for k, row in enumerate(tree_set.rows):
         # a symbol's expansions share its codeword, so they come in the
         # sort_key order of its successor's mode members
         exp = [[(clen + qlen, cval << qlen | qval) for qlen, qval in follow]
@@ -367,14 +320,13 @@ def is_full(tree_set):
     A full set wastes no code space: tree 0 can start with any bit
     pattern, and each tree's mode reduces to the same frontier as the
     set of streams actually leaving that tree.  Those streams begin
-    with the tree's expanded words, read off the set's integer table
+    with the tree's expanded words, read off the set's integer rows
     as ``validate`` reads them.
     """
     tree_set.ensure_valid()
     if tree_set.trees[0].mode != frozenset([EMPTY]):
         return False
-    tab = table(tree_set)
-    for tree, row in zip(tree_set.trees, tab.rows):
+    for tree, row in zip(tree_set.trees, tree_set.rows):
         flat = [BitString(cval << qlen | qval, clen + qlen)
                 for _, clen, cval, _, follow in row
                 for qlen, qval in follow]

@@ -183,7 +183,11 @@ def parse_distribution(doc):
             not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                     for p in probs):
         raise FormatError("expected a list of probabilities")
-    return [float(p) for p in probs]
+    try:
+        return [float(p) for p in probs]
+    except OverflowError:
+        raise FormatError("a probability is too large for a float") \
+            from None
 
 
 def parse_conventional(doc):

@@ -178,6 +178,17 @@ def test_nan_probabilities_are_rejected():
         stationary([[nan, nan], [0.5, 0.5]])
 
 
+def test_probabilities_beyond_float_range_are_rejected():
+    ts = examples.binary_delay3_set()
+    huge = [10 ** 400, 0]
+    for call in (lambda: entropy(huge),
+                 lambda: transition_matrix(ts, huge),
+                 lambda: expected_code_length(ts, huge),
+                 lambda: monte_carlo_rate(ts, huge, 10)):
+        with pytest.raises(ValueError, match="probabilities"):
+            call()
+
+
 def test_subnormal_probabilities_are_rejected():
     # tree 0 leaves for tree 1 on 'b', and trees 1 and 2 swap on 'b';
     # a subnormal chance of 'b' once made the solve return NaN

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,27 @@ def test_longest_common_prefix():
     assert longest_common_prefix(bits("0110"), bits("0111")) == bits("011")
     assert longest_common_prefix(bits("0"), bits("1")) == bits("")
     assert longest_common_prefix(bits("01"), bits("0110")) == bits("01")
+    rng = random.Random(SEED + 3)
+    for _ in range(500):
+        w1, w2 = random_bits(rng), random_bits(rng)
+        t1, t2 = w1.text(), w2.text()
+        n = 0
+        while n < min(len(t1), len(t2)) and t1[n] == t2[n]:
+            n += 1
+        assert longest_common_prefix(w1, w2) == bits(t1[:n])
+
+
+def test_longest_common_prefix_is_linear_in_word_length():
+    # two 400,000-bit words that differ in their first bit; one bit a
+    # step takes seconds here
+    n = 400_000
+    w1 = BitString((1 << n) - 1, n)
+    w2 = BitString(0, n)
+    w3 = BitString(((1 << n) - 1) ^ 1, n)
+    start = time.perf_counter()
+    assert longest_common_prefix(w1, w2) == BitString()
+    assert longest_common_prefix(w1, w3) == w1.prefix(n - 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_prefix_is_a_partial_order():

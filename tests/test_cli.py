@@ -99,6 +99,27 @@ def test_encode_unknown_symbol(capsys, trees_path):
     assert "unknown symbol" in err
 
 
+def test_symbol_text_run_on_and_spaced(capsys, tmp_path, trees_path):
+    # one-character names may run on, be spaced, or both
+    for text in ("abbaa", "a b b a a", "ab  ba\na", " a bba a "):
+        code, out, _ = run(capsys, "encode", trees_path, "--text", text)
+        assert (code, out) == (0, "10011\n"), text
+    # an unknown character is named alone, whatever token it is in
+    for text in ("abq", "a b q", "ab qa"):
+        code, _, err = run(capsys, "encode", trees_path, "--text", text)
+        assert code == 2 and "unknown symbol 'q'" in err, text
+    # longer names must be spaced
+    path = tmp_path / "named.json"
+    doc = tree_set_to_doc(examples.binary_delay3_set())
+    doc["alphabet"] = ["x0", "x1"]
+    path.write_text(dumps_document(doc))
+    code, out, _ = run(capsys, "encode", str(path), "--text",
+                       "x0 x1 x1 x0 x0")
+    assert (code, out) == (0, "10011\n")
+    code, _, err = run(capsys, "encode", str(path), "--text", "x0 x1x1")
+    assert code == 2 and "unknown symbol 'x1x1'" in err
+
+
 def test_decode_bits_argument(capsys, trees_path):
     code, out, _ = run(capsys, "decode", trees_path,
                        "--bits", "10011", "--length", "5")
@@ -281,6 +302,16 @@ def test_analyze_rejects_subnormal_probabilities(capsys, tmp_path):
     assert code == 2 and "probabilities" in err and out == ""
 
 
+def test_analyze_rejects_probabilities_beyond_float_range(capsys, trees_path,
+                                                          tmp_path):
+    # a 401-digit integer once escaped as an OverflowError traceback
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[" + "9" * 401 + ", 0]\n")
+    code, out, err = run(capsys, "analyze", trees_path,
+                         "--dist", str(dist_path))
+    assert code == 2 and "too large" in err and out == ""
+
+
 def test_import_and_validate_output(capsys, tmp_path):
     src = tmp_path / "conventional.json"
     src.write_text(dumps_document(examples.quaternary_aifv2_doc()))
@@ -346,6 +377,23 @@ def test_reduce_long_mode_member_is_fast(capsys, tmp_path):
     assert [t["mode"] for t in doc["trees"]] == [[""], [""]]
     assert doc["trees"][0]["codewords"] == ["0", "1" + word]
     assert doc["trees"][1]["codewords"] == ["0", "1"]
+
+
+def test_reduce_words_sharing_no_first_bit_is_fast(capsys, tmp_path):
+    # tree 1's two 400,000-bit words differ in their first bit; finding
+    # their common prefix one bit at a time takes seconds
+    zeros, ones = "0" * 400_000, "1" * 400_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a", "b"],
+        "trees": [{"mode": [""], "codewords": ["", "01"], "next": [1, 0]},
+                  {"mode": [zeros, ones], "codewords": [zeros, ones],
+                   "next": [0, 0]}]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    parse_tree_set(loads_document(out))  # stays loadable and valid
 
 
 def test_convert_vv_command(capsys, tmp_path):

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from aifv import codec
 from aifv.bitstring import BitString
 from aifv.codec import decode, encode, max_realized_lookahead
-from aifv.codetree import (CodeTree, CodeTreeSet, decoding_delay, table,
-                           validate)
+from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
 
@@ -23,6 +22,11 @@ SEED = 20240814
 def tree(mode, rows):
     return CodeTree([bits(w) for w, _ in rows], [p for _, p in rows],
                     [bits(q) for q in mode])
+
+
+def run_slots(ts):
+    """The decoder's run slots, one list per tree, cached on the set."""
+    return ts._decoder[1]
 
 
 def test_golden_encode():
@@ -265,7 +269,7 @@ def test_cycles_of_empty_codewords_end():
             assert trace.per_symbol_lookahead == (0,) * 1000
             assert trace.bits_consumed == 0
         # K * (_RUN_BITS + 1) symbols at most in one run
-        runs = [run for slots in table(ts).runs for run in slots if run]
+        runs = [run for slots in run_slots(ts) for run in slots if run]
         assert runs
         assert all(len(run[0]) <= ts.tree_count * (codec._RUN_BITS + 1)
                    for run in runs)
@@ -279,14 +283,14 @@ def test_run_table_is_bounded():
                           k=200_000)
         assert decode(ts, encode(ts, msg).bits, len(msg)).symbols == \
             tuple(msg)
-    runs = table(ts).runs
+    runs = run_slots(ts)
     assert len(runs) == ts.tree_count
     assert all(len(slots) == 1 << codec._RUN_BITS for slots in runs)
     stored = [run for slots in runs for run in slots if run is not None]
     assert 0 < len(stored) <= ts.tree_count << codec._RUN_BITS
 
 
-def test_trees_without_a_short_expanded_word_get_no_run_slots():
+def test_trees_without_a_short_expanded_word_store_only_empty_runs():
     # tree 0 has the M=256 shape of perfbench's generated sets: 9-bit
     # codewords under a mode of two 2-bit words; tree 2's 8-bit codewords
     # all lead to tree 0, so its expanded words have 10 bits; tree 1's
@@ -301,14 +305,20 @@ def test_trees_without_a_short_expanded_word_get_no_run_slots():
     ])
     assert validate(ts).ok
     rng = random.Random(SEED + 5)
-    msg = [rng.randrange(256) for _ in range(300)]
+    # trees 0, 1, 2 twice: the second visit to tree 1 applies its run,
+    # so the decoder then peeks at tree 2
+    msg = [0, 0, 5] * 2 + [rng.randrange(256) for _ in range(300)]
     stream = encode(ts, msg).bits
     expected = decode_outcome(decode_oracle, ts, stream, len(msg))
     assert decode_outcome(decode, ts, stream, len(msg)) == expected
     assert expected[0] == tuple(msg)
-    slots = table(ts).runs
-    assert slots[0] is None and slots[2] is None
-    assert len(slots[1]) == 1 << codec._RUN_BITS
+    # trees 0 and 2 start no run: each peek they meet stores ()
+    slots = run_slots(ts)
+    assert all(len(row) == 1 << codec._RUN_BITS for row in slots)
+    for k in (0, 2):
+        assert () in slots[k]
+        assert all(run is None or run == () for run in slots[k])
+    assert any(slots[1])
 
 
 def test_decode_is_linear_in_stream_length():

@@ -132,6 +132,13 @@ def test_parse_distribution():
         parse_distribution({"probs": [0.5, True]})
 
 
+def test_parse_distribution_refuses_an_integer_beyond_float_range():
+    with pytest.raises(FormatError, match="too large"):
+        parse_distribution([10 ** 400, 0])
+    with pytest.raises(FormatError, match="too large"):
+        parse_distribution({"probs": [0.5, -10 ** 400]})
+
+
 def test_parse_conventional_documents():
     kind, m, convention, symbols, trees = parse_conventional(
         examples.quaternary_aifv2_doc())
