@@ -7,8 +7,11 @@ symbol is the long-run average of each tree's mean codeword length,
 weighted by the share of time the encoder spends in each tree.  That
 share is the Cesaro limit of the chain started in tree 0, solved
 exactly from the chain's closed classes, so periodic and slowly mixing
-chains need no iteration.  A Monte Carlo path through the chain gives
-an empirical rate to check the closed-form number against.
+chains need no iteration.  The transitive closure of the chain's
+support, one boolean reachability matrix, says which trees are
+transient and which closed class each of the others belongs to.  A
+Monte Carlo path through the chain gives an empirical rate to check
+the closed-form number against.
 
 numpy is imported inside the functions that compute a rate, so
 importing the package, and every CLI command but ``analyze``, does not
@@ -63,71 +66,39 @@ def transition_matrix(tree_set, dist):
     return matrix
 
 
-def _components(n, rows, cols):
-    """Label each of n states with its strongly connected component.
-
-    The edges run from ``rows[i]`` to ``cols[i]``.  Kosaraju's two
-    depth-first passes keep their own stacks, so a long chain of states
-    cannot hit Python's recursion limit.  Each component is labelled
-    with the index of one of its own states.
-    """
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
-    for v, w in zip(rows, cols):
-        succ[v].append(w)
-        pred[w].append(v)
-    seen = [False] * n
-    order = []  # states in the order a depth-first search finishes them
-    for root in range(n):
-        stack = [(root, False)]
-        while stack:
-            v, finished = stack.pop()
-            if finished:
-                order.append(v)
-            elif not seen[v]:
-                seen[v] = True
-                stack.append((v, True))
-                stack.extend((w, False) for w in succ[v])
-    label = [-1] * n
-    for root in reversed(order):
-        if label[root] < 0:
-            label[root] = root
-            todo = [root]
-            while todo:
-                for w in pred[todo.pop()]:
-                    if label[w] < 0:
-                        label[w] = root
-                        todo.append(w)
-    return label
-
-
 def stationary(matrix):
     """Long-run share of time in each state of a chain started in state 0.
 
     This is the Cesaro limit of row 0 of P^t, which exists for every
     finite chain, periodic and reducible ones included (Kemeny & Snell,
     *Finite Markov Chains*, 1960).  The support ``matrix > 0`` alone
-    decides which states are transient and which form closed classes:
-    transient states get 0, and each closed class gets its own
-    stationary vector scaled by the chance that the chain, started in
-    state 0, is absorbed into it.  Both come from direct linear solves,
-    with no iteration and no tolerance.
+    decides which states are transient and which form closed classes.
+    Its transitive closure (Warshall, 1962), taken by repeated squaring,
+    says which states each state reaches: a state is transient iff it
+    reaches one that does not reach it back, and the states it reaches
+    both ways are its class.  Transient states get 0, and each closed
+    class gets its own stationary vector scaled by the chance that the
+    chain, started in state 0, is absorbed into it.  Both come from
+    direct linear solves, with no iteration and no tolerance.
     """
     import numpy as np
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch("transition matrix must be square")
+    if not matrix.size:
+        raise DimensionMismatch("transition matrix has no states")
     # as in _check_probabilities, NaN and subnormal entries fail
     if not (np.all((matrix == 0) | (matrix >= sys.float_info.min))
             and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("matrix rows must be probability distributions")
     n = len(matrix)
-    rows, cols = np.nonzero(matrix > 0)
-    label = np.array(_components(n, rows.tolist(), cols.tolist()))
-    # a class is closed when no positive entry leads out of it
-    leaks = np.zeros(n, dtype=bool)
-    leaks[label[rows[label[rows] != label[cols]]]] = True
-    transient = leaks[label]
+    # reach[i, j] says state i leads to state j in some number of steps;
+    # each squaring doubles the number of steps covered
+    reach = (matrix > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        hops = reach.astype(float)
+        reach = hops @ hops > 0
+    transient = (reach & ~reach.T).any(axis=1)
     closed = ~transient
     # P - I, with each diagonal entry taken as minus the rest of its row,
     # so a small chance of moving is not lost by rounding against 1
@@ -141,8 +112,9 @@ def stationary(matrix):
                              matrix[np.ix_(transient, closed)])
     entry = start[closed] + start[transient] @ absorb
     # the balance equations of the closed states, where the equation of
-    # each class's label state gives way to the mass entering the class
-    label = label[closed]
+    # each class's label state, its lowest, gives way to the mass
+    # entering the class
+    label = (reach & reach.T)[closed].argmax(axis=1)
     head = label == np.flatnonzero(closed)
     members = label[head, None] == label
     system = step[np.ix_(closed, closed)].T

@@ -305,8 +305,9 @@ def parse_vv_table(doc):
 
 def write_bitstream(bits, symbol_count):
     """Pack an encoded stream into the binary container format."""
-    if symbol_count < 0:
-        raise ValueError("symbol count must be non-negative")
+    if not 0 <= symbol_count < 1 << 64:
+        raise ValueError("symbol count must be non-negative and fit in "
+                         "64 bits")
     nbytes = (bits.length + 7) // 8
     pad = nbytes * 8 - bits.length
     payload = (bits.value << pad).to_bytes(nbytes, "big")

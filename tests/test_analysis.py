@@ -65,8 +65,32 @@ def test_stationary_handles_periodic_and_absorbing_chains():
 def test_stationary_rejects_bad_matrices():
     with pytest.raises(DimensionMismatch):
         stationary(np.zeros((2, 3)))
+    # the empty matrix is square; it once died with an IndexError
+    with pytest.raises(DimensionMismatch, match="no states"):
+        stationary(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         stationary(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+
+def test_stationary_long_and_reducible_chains():
+    # past the sizes the chains() strategy draws, and without the
+    # Fraction oracle, which is cubic in pure Python
+    started = time.perf_counter()
+    n = 300
+    path = np.eye(n, k=1)
+    path[-1, -1] = 1.0
+    assert stationary(path) == pytest.approx(np.eye(n)[-1], abs=1e-12)
+    cycle = np.roll(np.eye(n), 1, axis=1)
+    assert stationary(cycle) == pytest.approx(np.full(n, 1 / n), abs=1e-12)
+    # state 0 enters each of 100 two-state swap classes with equal chance
+    fan = np.zeros((201, 201))
+    fan[0, 1::2] = 0.01
+    fan[np.arange(1, 201, 2), np.arange(2, 201, 2)] = 1.0
+    fan[np.arange(2, 201, 2), np.arange(1, 201, 2)] = 1.0
+    expected = np.full(201, 1 / 200)
+    expected[0] = 0.0
+    assert stationary(fan) == pytest.approx(expected, abs=1e-12)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_stationary_exact_on_slow_mixing_chain():

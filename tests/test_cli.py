@@ -279,6 +279,25 @@ def test_analyze_periodic_set(capsys, tmp_path):
     assert stats["stationary"] == pytest.approx([0, 0.5, 0.5], abs=1e-12)
 
 
+def test_analyze_reducible_set(capsys, tmp_path):
+    # tree 0 leaves for tree 1 or tree 2, and each of those stays put:
+    # two closed classes, each entered with chance 1/2
+    trees = tmp_path / "split.json"
+    trees.write_text(json.dumps({"alphabet": ["a", "b"], "trees": [
+        {"mode": [""], "codewords": ["0", "1"], "next": [1, 2]},
+        {"mode": [""], "codewords": ["0", "1"], "next": [1, 1]},
+        {"mode": [""], "codewords": ["0", "1"], "next": [2, 2]},
+    ]}))
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text("[0.5, 0.5]\n")
+    code, out, _ = run(capsys, "analyze", str(trees), "--dist",
+                       str(dist_path), "--json")
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["stationary"] == [0.0, 0.5, 0.5]
+    assert stats["expected_code_length"] == 1.0
+
+
 def test_analyze_rejects_nan_probabilities(capsys, trees_path, tmp_path):
     dist_path = tmp_path / "dist.json"
     dist_path.write_text("[NaN, NaN]\n")

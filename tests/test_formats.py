@@ -378,3 +378,13 @@ def test_write_bitstream_refuses_a_negative_count():
     with pytest.raises(ValueError, match="symbol count must be "
                                          "non-negative"):
         write_bitstream(bits("01"), -1)
+
+
+def test_write_bitstream_refuses_a_count_past_64_bits():
+    # the header holds the count in an unsigned 64-bit field; a larger
+    # count once escaped as a struct.error
+    top = 2 ** 64 - 1
+    assert read_bitstream(write_bitstream(bits("01"), top)) \
+        == (bits("01"), top)
+    with pytest.raises(ValueError, match="fit in 64 bits"):
+        write_bitstream(bits("01"), 2 ** 64)
