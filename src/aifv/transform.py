@@ -19,15 +19,20 @@ Three sources are covered:
 * ``import_aifv2`` / ``import_aifvm`` accept conventional code trees
   given purely as lists of codewords, one per symbol, check their
   structural rules, recover the tree-switching behaviour from each
-  symbol node's chain of single-child descendants, and infer every
-  tree's mode from the set of bit patterns the trees can actually emit.
+  symbol node's chain, and infer every tree's mode from the set of bit
+  patterns the trees can actually emit.  A chain is the path from a
+  symbol's node down to the next symbol or branch node; one sweep over
+  a tree's codewords in '0'/'1' text order reads every chain, in memory
+  linear in the codeword bits.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
-from .bitstring import EMPTY, is_prefix, strip_prefix
+from .bitstring import (EMPTY, BitString, is_prefix,
+                        longest_common_prefix, strip_prefix)
 from .codec import encode
 from .codetree import CodeTree, CodeTreeSet, validate
 from .errors import DepthExceeded, NormalizationFailed, StructureViolation
@@ -163,7 +168,10 @@ def _normalize_vv(table):
     cap = 10 * (len(states) + len(table.blocks)) + 10
 
     def lower_parent(s, target):
-        # move the bits of lcword[s] past ``target`` into the follow set
+        # move the bits of lcword[s] past ``target`` into the follow set;
+        # an earlier child of s may already have lowered it that far
+        if is_prefix(lcwords[s], target):
+            return
         tail = strip_prefix(target, lcwords[s])
         follows[s] = {tail + f for f in follows[s]}
         lcwords[s] = target
@@ -250,62 +258,32 @@ def vv_to_tree_set(table):
     return result
 
 
-def _build_nodes(cwords):
-    # nodes are (depth, path-value) pairs; derive the tree from the
-    # prefix closure of the codeword paths
-    children = {}
-    symbol_at = {}
-    nodes = {(0, 0)}
+def _chains(t, cwords):
+    # each symbol's chain: the edges from its node down to the next
+    # symbol or branch node, empty for a leaf.  In '0'/'1' text order
+    # the words extending w follow it as one block, ending before
+    # w + '2'; the block's first and last word share exactly w + chain.
+    if not cwords:
+        raise StructureViolation(
+            f"tree {t}: leaf at depth 0 carries no symbol")
+    owner = {}
     for a, w in enumerate(cwords):
-        node = (w.length, w.value)
-        if node in symbol_at:
+        b = owner.setdefault(w, a)
+        if b != a:
             raise StructureViolation(
-                f"symbols {symbol_at[node]} and {a} share the node "
-                f"{w.text()!r}")
-        symbol_at[node] = a
-        nodes.add(node)
-        for i in range(w.length):
-            parent = (i, w.value >> (w.length - i))
-            bit = (w.value >> (w.length - i - 1)) & 1
-            child = (i + 1, w.value >> (w.length - i - 1))
-            children.setdefault(parent, {})[bit] = child
-            nodes.add(parent)
-            nodes.add(child)
-    return nodes, children, symbol_at
-
-
-def _single_child(children, node):
-    ch = children.get(node)
-    if ch is not None and len(ch) == 1:
-        return next(iter(ch.items()))
-    return None
-
-
-def _chain_degree(children, symbol_at, node):
-    # length of the run of bare single-'0'-child nodes hanging under a
-    # symbol node; this is what selects the successor tree
-    degree = 0
-    edge = _single_child(children, node)
-    down = edge[1] if edge else None
-    while down is not None and down not in symbol_at:
-        edge = _single_child(children, down)
-        if edge is None or edge[0] != 0:
-            break
-        degree += 1
-        down = edge[1]
-    return degree
-
-
-def _check_common(tree_index, nodes, children, symbol_at):
-    for node in nodes:
-        ch = children.get(node, {})
-        if not ch and node not in symbol_at:
-            raise StructureViolation(
-                f"tree {tree_index}: leaf at depth {node[0]} carries "
-                f"no symbol")
-        if len(ch) == 2 and node in symbol_at:
-            raise StructureViolation(
-                f"tree {tree_index}: symbol on a node with both children")
+                f"symbols {b} and {a} share the node {w.text()!r}")
+    keys = sorted((w.text(), a) for a, w in enumerate(cwords))
+    chains = [EMPTY] * len(cwords)
+    for i, (text, a) in enumerate(keys):
+        end = bisect.bisect_left(keys, (text + "2",), i + 1)
+        if end > i + 1:
+            head = longest_common_prefix(cwords[keys[i + 1][1]],
+                                         cwords[keys[end - 1][1]])
+            chains[a] = strip_prefix(cwords[a], head)
+            if not chains[a]:
+                raise StructureViolation(
+                    f"tree {t}: symbol on a node with both children")
+    return chains
 
 
 def _infer_modes(tables, n_bits):
@@ -366,34 +344,27 @@ def import_aifv2(trees, symbols=None):
         raise StructureViolation("expected exactly two trees")
     points_per_tree = []
     for t, tree in enumerate(trees):
-        nodes, children, symbol_at = _build_nodes(tree)
-        _check_common(t, nodes, children, symbol_at)
         points = []
-        for a, w in enumerate(tree):
-            node = (w.length, w.value)
-            if not children.get(node):
+        for a, chain in enumerate(_chains(t, tree)):
+            if not chain:
                 points.append(0)
-                continue
-            edge = _single_child(children, node)
-            if edge is None or edge[0] != 0:
+            elif not is_prefix(BitString(0, 1), chain):
                 raise StructureViolation(
                     f"tree {t}: symbol {a} sits on an internal node "
                     f"without a single '0' child")
-            down = edge[1]
-            below = _single_child(children, down)
-            if down in symbol_at or below is None or below[0] != 0:
+            elif not is_prefix(BitString(0, 2), chain):
                 raise StructureViolation(
                     f"tree {t}: symbol {a} is not two '0' edges above "
                     f"its subtree")
-            points.append(1)
+            else:
+                points.append(1)
         if t == 1:
-            root_kids = children.get((0, 0), {})
-            if set(root_kids) != {0, 1}:
+            # the root's two sides, and what hangs under its '0' side
+            heads = {w.prefix(min(2, len(w))).text() for w in tree}
+            if not {"0", "1"} <= {h[:1] for h in heads}:
                 raise StructureViolation(
                     "tree 1: the root must have both children")
-            side = root_kids[0]
-            link = _single_child(children, side)
-            if side in symbol_at or link is None or link[0] != 1:
+            if not heads.isdisjoint({"0", "00"}):
                 raise StructureViolation(
                     "tree 1: the root's '0' child must be a bare node "
                     "linked by '1' to its child")
@@ -419,13 +390,11 @@ def import_aifvm(trees, m, symbols=None, convention="degree"):
         raise StructureViolation(f"expected {m} trees, got {len(trees)}")
     points_per_tree = []
     for t, tree in enumerate(trees):
-        nodes, children, symbol_at = _build_nodes(tree)
-        _check_common(t, nodes, children, symbol_at)
         points = []
-        for a, w in enumerate(tree):
-            node = (w.length, w.value)
-            degree = _chain_degree(children, symbol_at, node) \
-                if children.get(node) else 0
+        for a, chain in enumerate(_chains(t, tree)):
+            # the degree is the run of '0's after the chain's first bit
+            rest = chain.text()[1:]
+            degree = len(rest) - len(rest.lstrip("0"))
             if degree >= m:
                 raise StructureViolation(
                     f"tree {t}: symbol {a} has chain degree {degree}, "

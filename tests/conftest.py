@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from aifv.bitstring import BitString, sort_key
 from aifv.codec import DecodeTrace
 from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
-from aifv.errors import NoMatch, Truncated
+from aifv.errors import NoMatch, StructureViolation, Truncated
+from aifv.transform import _assemble
 from aifv.wordset import reduce
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
@@ -357,3 +358,139 @@ def infer_modes_oracle(tables, n_bits):
                     stack.append((point, nlen, nval))
         modes.append(reduce(found) if found else frozenset([BitString()]))
     return modes
+
+
+def long_codeword_doc():
+    """Conventional trees with one 200,000-bit all-ones codeword each.
+
+    No symbol switches trees, so an import ends in the refusal that
+    tree 1 cannot be reached.  The prefix closure of that codeword
+    holds 200,000 nodes whose values run up to 200,000 bits.
+    """
+    ones = "1" * 200_000
+    return {"kind": "aifv2",
+            "trees": [{"codewords": ["0", "10", ones]},
+                      {"codewords": ["01", "10", ones]}]}
+
+
+def _closure_nodes(cwords):
+    # nodes are (depth, path-value) pairs: the prefix closure of the
+    # codeword paths, with each node's children keyed by their edge bit
+    children = {}
+    symbol_at = {}
+    nodes = {(0, 0)}
+    for a, w in enumerate(cwords):
+        node = (w.length, w.value)
+        if node in symbol_at:
+            raise StructureViolation(
+                f"symbols {symbol_at[node]} and {a} share the node "
+                f"{w.text()!r}")
+        symbol_at[node] = a
+        nodes.add(node)
+        for i in range(w.length):
+            parent = (i, w.value >> (w.length - i))
+            bit = (w.value >> (w.length - i - 1)) & 1
+            child = (i + 1, w.value >> (w.length - i - 1))
+            children.setdefault(parent, {})[bit] = child
+            nodes.add(parent)
+            nodes.add(child)
+    return nodes, children, symbol_at
+
+
+def _single_child(children, node):
+    ch = children.get(node)
+    if ch is not None and len(ch) == 1:
+        return next(iter(ch.items()))
+    return None
+
+
+def _chain_degree(children, symbol_at, node):
+    # the run of bare single-'0'-child nodes hanging under a symbol node
+    degree = 0
+    edge = _single_child(children, node)
+    down = edge[1] if edge else None
+    while down is not None and down not in symbol_at:
+        edge = _single_child(children, down)
+        if edge is None or edge[0] != 0:
+            break
+        degree += 1
+        down = edge[1]
+    return degree
+
+
+def _check_closure(tree_index, nodes, children, symbol_at):
+    for node in nodes:
+        ch = children.get(node, {})
+        if not ch and node not in symbol_at:
+            raise StructureViolation(
+                f"tree {tree_index}: leaf at depth {node[0]} carries "
+                f"no symbol")
+        if len(ch) == 2 and node in symbol_at:
+            raise StructureViolation(
+                f"tree {tree_index}: symbol on a node with both children")
+
+
+def import_oracle(kind, trees, m=None, symbols=None, convention="degree"):
+    """What ``import_aifv2`` (kind "aifv2") or ``import_aifvm`` must do.
+
+    Every tree's prefix closure is built as (depth, value) nodes with a
+    children dict, and each symbol's successor is read by walking the
+    nodes under it edge by edge.  The modes and the final decodability
+    check come from the library's ``_assemble``.
+    """
+    if kind != "aifv2" and convention not in ("degree", "complement"):
+        raise ValueError(f"unknown switching convention {convention!r}")
+    trees = [list(tree) for tree in trees]
+    if kind == "aifv2":
+        m = 2
+        if len(trees) != 2:
+            raise StructureViolation("expected exactly two trees")
+    elif m < 2:
+        raise StructureViolation("m must be at least 2")
+    elif len(trees) != m:
+        raise StructureViolation(f"expected {m} trees, got {len(trees)}")
+    points_per_tree = []
+    for t, tree in enumerate(trees):
+        nodes, children, symbol_at = _closure_nodes(tree)
+        _check_closure(t, nodes, children, symbol_at)
+        points = []
+        for a, w in enumerate(tree):
+            node = (w.length, w.value)
+            if kind != "aifv2":
+                degree = _chain_degree(children, symbol_at, node) \
+                    if children.get(node) else 0
+                if degree >= m:
+                    raise StructureViolation(
+                        f"tree {t}: symbol {a} has chain degree {degree}, "
+                        f"needs less than {m}")
+                points.append(degree if convention == "degree" or not degree
+                              else m - degree)
+                continue
+            if not children.get(node):
+                points.append(0)
+                continue
+            edge = _single_child(children, node)
+            if edge is None or edge[0] != 0:
+                raise StructureViolation(
+                    f"tree {t}: symbol {a} sits on an internal node "
+                    f"without a single '0' child")
+            down = edge[1]
+            below = _single_child(children, down)
+            if down in symbol_at or below is None or below[0] != 0:
+                raise StructureViolation(
+                    f"tree {t}: symbol {a} is not two '0' edges above "
+                    f"its subtree")
+            points.append(1)
+        if kind == "aifv2" and t == 1:
+            root_kids = children.get((0, 0), {})
+            if set(root_kids) != {0, 1}:
+                raise StructureViolation(
+                    "tree 1: the root must have both children")
+            side = root_kids[0]
+            link = _single_child(children, side)
+            if side in symbol_at or link is None or link[0] != 1:
+                raise StructureViolation(
+                    "tree 1: the root's '0' child must be a bare node "
+                    "linked by '1' to its child")
+        points_per_tree.append(points)
+    return _assemble(trees, points_per_tree, m, symbols)

@@ -18,8 +18,8 @@ from aifv.formats import (dumps_document, loads_document, parse_tree_set,
                           tree_set_to_doc)
 from aifv import examples
 
-from conftest import (PARSER_KEYS, json_values, mutate_tree_set,
-                      random_valid_tree_set, small_headers)
+from conftest import (PARSER_KEYS, json_values, long_codeword_doc,
+                      mutate_tree_set, random_valid_tree_set, small_headers)
 
 
 @pytest.fixture
@@ -352,6 +352,18 @@ def test_import_refuses_duplicate_symbol_names(capsys, tmp_path):
     src.write_text(dumps_document(doc))
     code, out, err = run(capsys, "import", str(src))
     assert (code, out, err) == (2, "", "error: symbol names must be unique\n")
+
+
+def test_import_of_a_long_codeword_is_refused_quickly(capsys, tmp_path):
+    src = tmp_path / "long.json"
+    src.write_text(dumps_document(long_codeword_doc()))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "import", str(src))
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (1, "")
+    assert err == "error: imported trees are not decodable: tree 1 " \
+        "cannot be reached from tree 0\n"
+    assert elapsed < 1.0, f"import took {elapsed:.2f} s"
 
 
 def test_symbol_names_the_cli_cannot_read_back_exit_2(capsys, tmp_path):

@@ -10,15 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from aifv.bitstring import is_prefix
 from aifv.codec import decode, encode
 from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
-from aifv.errors import (DepthExceeded, NormalizationFailed,
+from aifv.errors import (AifvError, DepthExceeded, NormalizationFailed,
                          StructureViolation)
-from aifv.formats import parse_conventional, parse_vv_table
+from aifv.formats import (dumps_document, parse_conventional,
+                          parse_vv_table, tree_set_to_doc)
 from aifv.transform import (VVCodeTable, _infer_modes, _normalize_vv,
                             equivalent_up_to_termination, import_aifv2,
                             import_aifvm, to_basic, vv_to_tree_set)
 from aifv import examples
 
-from conftest import bits, infer_modes_oracle, random_valid_tree_set, texts
+from conftest import (bits, import_oracle, infer_modes_oracle,
+                      long_codeword_doc, random_valid_tree_set, texts)
 
 SEED = 20240815
 
@@ -222,6 +224,23 @@ def test_vv_normalization_lowers_a_parent_onto_a_shorter_child_state():
         "expanded codeword '1' (b) has no prefix in the tree's mode"
 
 
+def test_vv_normalization_refuses_a_parent_lowered_by_two_children():
+    # child state "aa" lowers state "a" from "000" to "0"; block "ab"
+    # then asks to lower "a" to "00", which it is already lowered past
+    table = VVCodeTable(
+        depth=3, symbols=["a", "b"],
+        lcwords={(): bits(""), (0,): bits("000"), (0, 0): bits("0")},
+        follows={(): [bits("")], (0,): [bits("")], (0, 0): [bits("1")]},
+        blocks={(0, 0, 0): bits("010"), (0, 0, 1): bits("011"),
+                (0, 1): bits("00"), (1,): bits("1")})
+    with pytest.raises(NormalizationFailed) as err:
+        vv_to_tree_set(table)
+    assert str(err.value) == "normalized table is not decodable: " \
+        "tree 1: expanded codeword '1' (a) has no prefix in the tree's " \
+        "mode; tree 1: expanded codeword '0' (b) has no prefix in the " \
+        "tree's mode"
+
+
 def test_vv_normalization_rejects_an_incomparable_child_state():
     table = VVCodeTable(
         depth=3, symbols=["a", "b"],
@@ -380,6 +399,61 @@ def test_import_rejects_undecodable_trees():
     with pytest.raises(StructureViolation) as err:
         import_aifvm([same, same], 2)
     assert "not decodable" in str(err.value)
+
+
+def import_outcome(run):
+    try:
+        return dumps_document(tree_set_to_doc(run()))
+    except AifvError as exc:
+        return type(exc), str(exc)
+
+
+CONVENTIONAL_DOCS = [examples.quaternary_aifv2_doc(),
+                     examples.quaternary_aifv3_doc(),
+                     examples.skewed_aifv3_doc()]
+
+
+@st.composite
+def conventional_trees(draw):
+    # random codeword lists, or an example's trees with a few words
+    # edited; m may differ from the tree count
+    word = st.text("01", max_size=5)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 5))
+        trees = draw(st.lists(st.lists(word, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    else:
+        doc = draw(st.sampled_from(CONVENTIONAL_DOCS))
+        trees = [list(tree["codewords"]) for tree in doc["trees"]]
+        for _ in range(draw(st.integers(1, 3))):
+            tree = trees[draw(st.integers(0, len(trees) - 1))]
+            a = draw(st.integers(0, len(tree) - 1))
+            w = tree[a]
+            tree[a] = draw(st.sampled_from([w[:-1], w + "0", w + "00",
+                                            w + "1"]) | word)
+    m = draw(st.integers(1, len(trees) + 1))
+    return [[bits(w) for w in tree] for tree in trees], m
+
+
+@settings(deadline=None, max_examples=300)
+@given(conventional_trees(), st.sampled_from(["degree", "complement"]))
+def test_importers_match_node_walk(case, convention):
+    trees, m = case
+    assert import_outcome(lambda: import_aifv2(trees)) \
+        == import_outcome(lambda: import_oracle("aifv2", trees))
+    assert import_outcome(lambda: import_aifvm(trees, m, None, convention)) \
+        == import_outcome(lambda: import_oracle("aifvm", trees, m, None,
+                                                convention))
+
+
+def test_imports_of_a_long_codeword_finish_quickly():
+    _, _, _, _, trees = parse_conventional(long_codeword_doc())
+    for run in (lambda: import_aifv2(trees), lambda: import_aifvm(trees, 2)):
+        started = time.perf_counter()
+        with pytest.raises(StructureViolation, match="cannot be reached"):
+            run()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"import took {elapsed:.2f} s"
 
 
 @st.composite
