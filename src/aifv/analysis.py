@@ -60,8 +60,8 @@ def transition_matrix(tree_set, dist):
     dist = _check_dist(tree_set, dist)
     n = tree_set.tree_count
     matrix = np.zeros((n, n))
-    for k, tree in enumerate(tree_set.trees):
-        for a, point in enumerate(tree.points):
+    for k, row in enumerate(tree_set.rows):
+        for a, _, _, point, _ in row:
             matrix[k, point] += dist[a]
     return matrix
 
@@ -137,8 +137,8 @@ def rate_and_stationary(tree_set, dist):
     tree_set.ensure_valid()
     dist = _check_dist(tree_set, dist)
     pi = stationary(transition_matrix(tree_set, dist))
-    per_tree = [sum(p * w.length for p, w in zip(dist, tree.cwords))
-                for tree in tree_set.trees]
+    per_tree = [sum(p * clen for p, (_, clen, *_) in zip(dist, row))
+                for row in tree_set.rows]
     return float(np.dot(pi, per_tree)), pi
 
 
@@ -158,8 +158,8 @@ def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
     if n_symbols == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    lengths = [[w.length for w in tree.cwords] for tree in tree_set.trees]
-    points = [list(tree.points) for tree in tree_set.trees]
+    lengths = [[clen for _, clen, _, _, _ in row] for row in tree_set.rows]
+    points = [[point for _, _, _, point, _ in row] for row in tree_set.rows]
     bits = 0
     k = 0
     for start in range(0, n_symbols, MC_BLOCK):

@@ -10,7 +10,9 @@ scale 2**length.  Two strings are prefix-comparable exactly when their
 intervals intersect, and w1 is a prefix of w2 exactly when the interval
 of w1 contains the interval of w2.  ``is_prefix`` and ``comparable``
 test the (length, value) pairs directly; ``codetree.validate`` can
-compare the integer intervals themselves.
+compare the integer intervals themselves.  The set's integer rows keep
+words as bare (length, value) tuples, and ``pair_text`` writes one as
+'0'/'1' text, the same text ``BitString.text`` gives.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class BitString:
         return cls(int(text, 2) if text else 0, len(text))
 
     def text(self):
-        return format(self.value, f"0{self.length}b") if self.length else ""
+        return pair_text(self.length, self.value)
 
     def __str__(self):
         return self.text()
@@ -76,9 +78,9 @@ class BitString:
 EMPTY = BitString(0, 0)
 
 
-def sort_key(w):
-    """Deterministic ordering: by length, then numerically (lexicographic)."""
-    return (w.length, w.value)
+def pair_text(length, value):
+    """The '0'/'1' text of the word with this (length, value) pair."""
+    return format(value, f"0{length}b") if length else ""
 
 
 def is_prefix(w1, w2):

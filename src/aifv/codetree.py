@@ -23,21 +23,23 @@ disjoint, and a word's prefixes among a tree's words are exactly the
 entries still open on a stack when the words are swept in interval
 order.  ``validate`` therefore finds every comparable pair in one
 sorted sweep per tree, in O(E log E + violations) for E expanded
-codewords.  The innermost mode member open at an expanded word is the
+codewords.  The sort key is each word's bits left-aligned to whole
+bytes, then its length, so memory stays linear in the words' own
+bits.  The innermost mode member open at an expanded word is the
 lookahead the decoder needs for it, so the same sweep yields the
 decoding delay.  The sweep runs on the set's integer rows
 (``CodeTreeSet.rows``), built with the set, where every word is a
 (length, value) pair: "direct" tests prefixes on those pairs,
-"interval" compares their integer interval images, and the two methods
-agree on every input and produce identical reports.  The encoder and
-decoder read the same rows.
+"interval" compares both ends of their integer intervals on the inner
+word's scale, and the two methods agree on every input and produce
+identical reports.  The encoder and decoder read the same rows.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import EMPTY, BitString
+from .bitstring import EMPTY, BitString, pair_text
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
 from .wordset import reduce as reduce_words
@@ -65,10 +67,6 @@ class CodeTree:
         self.points = points
         self.mode = mode
 
-    @property
-    def symbol_count(self):
-        return len(self.cwords)
-
 
 def _default_names(m):
     names = []
@@ -82,12 +80,16 @@ class CodeTreeSet:
 
     The set also carries its integer view, shared by the validator and
     the codec.  ``queries[k]`` lists tree k's mode members as
-    ``(len, value)`` pairs in ``sort_key`` order, so shortest first.
+    ``(len, value)`` pairs sorted as tuples, so shortest first and the
+    longest last.
     ``rows[k][a]`` is ``(a, clen, cval, point, queries[point])``:
     Cword_k(a) as an integer of ``clen`` bits, the tree it hops to, and
     that tree's mode members.  Expanded word i of symbol a at tree k is
     ``(clen + qlen, cval << qlen | qval)`` for
-    ``(qlen, qval) = queries[point][i]``.
+    ``(qlen, qval) = queries[point][i]``.  The validator sorts these
+    pairs by their bits left-aligned to whole bytes and compares two
+    of them at the longer one's length, never at the tree's longest,
+    so its memory is linear in the words' bits.
     """
 
     __slots__ = ("trees", "symbols", "tree_names", "queries", "rows",
@@ -97,11 +99,11 @@ class CodeTreeSet:
         trees = tuple(trees)
         if not trees:
             raise InvalidSet("a code-tree set needs at least one tree")
-        m = trees[0].symbol_count
+        m = len(trees[0].cwords)
         for k, tree in enumerate(trees):
-            if tree.symbol_count != m:
+            if len(tree.cwords) != m:
                 raise DimensionMismatch(
-                    f"tree {k} has {tree.symbol_count} symbols, tree 0 has {m}")
+                    f"tree {k} has {len(tree.cwords)} symbols, tree 0 has {m}")
             for a, point in enumerate(tree.points):
                 if not 0 <= point < len(trees):
                     raise IndexOutOfRange(
@@ -191,15 +193,11 @@ def reachable_trees(tree_set):
     stack = [0]
     while stack:
         k = stack.pop()
-        for point in tree_set.trees[k].points:
+        for _, _, _, point, _ in tree_set.rows[k]:
             if point not in seen:
                 seen.add(point)
                 stack.append(point)
     return seen
-
-
-def _text(word):
-    return BitString(word[1], word[0]).text()
 
 
 def validate(tree_set, method="direct"):
@@ -207,8 +205,10 @@ def validate(tree_set, method="direct"):
 
     Runs on the set's integer rows, where every word is a
     (length, value) pair.  Each tree's mode members and expanded
-    codewords are swept once in order of their intervals (lo, -hi) on
-    the scale 2**n of the tree's longest word, mode members ahead of
+    codewords are swept once in interval order, by left end and then
+    longest interval first: the key is a word's bits left-aligned to
+    whole bytes, which compare as zero-padded numbers, then its length,
+    so a word comes before its extensions and mode members ahead of
     equal expanded words.  Dyadic intervals are nested or disjoint, so
     the entries left on a stack that contain the current one are
     exactly its prefixes: each expanded word of another symbol among
@@ -216,26 +216,32 @@ def validate(tree_set, method="direct"):
     member is among them.  The longest open one is the lookahead that
     confirms the word, and the most over all trees is ``delay``.
     "direct" tests containment as the prefix relation on
-    (length, value) pairs, "interval" on the integer interval pairs;
-    the reports are identical either way.  Words become text only when
-    a violation is written.
+    (length, value) pairs; "interval" checks that the outer word is no
+    longer and that both ends of its interval, shifted to the inner
+    word's scale, enclose the inner one.  The reports are identical
+    either way.  A comparison shifts a word at most to its partner's
+    length, so memory is linear in the words' bits.  Words become text
+    only when a violation is written.
 
     Cost per tree is O(E log E + V) for E expanded words and V
     violations, plus, per word, the depth to which the modes nest.
     Overlaps come in (symbol, other symbol, word, other word) order,
-    words by ``sort_key``, then coverage failures by (symbol, word).
+    words by (length, value), then coverage failures by
+    (symbol, word).
     """
     if method not in VALIDATION_METHODS:
         raise ValueError(f"unknown validation method {method!r}")
-    # entries are (lo, -hi, symbol or -1 for a mode member, index,
-    # length, value)
+    # entries are (left-aligned bytes, length, symbol or -1 for a mode
+    # member, index, value)
     if method == "direct":
         def contains(outer, inner):
-            return outer[4] <= inner[4] and \
-                inner[5] >> (inner[4] - outer[4]) == outer[5]
+            return outer[1] <= inner[1] and \
+                inner[4] >> (inner[1] - outer[1]) == outer[4]
     else:
         def contains(outer, inner):
-            return outer[0] <= inner[0] and outer[1] <= inner[1]
+            d = inner[1] - outer[1]
+            return d >= 0 and \
+                outer[4] << d <= inner[4] < (outer[4] + 1) << d
 
     violations = []
     seen = reachable_trees(tree_set)
@@ -248,14 +254,15 @@ def validate(tree_set, method="direct"):
     queries = tree_set.queries
     for k, row in enumerate(tree_set.rows):
         # a symbol's expansions share its codeword, so they come in the
-        # sort_key order of its successor's mode members
+        # (length, value) order of its successor's mode members
         exp = [[(clen + qlen, cval << qlen | qval) for qlen, qval in follow]
                for _, clen, cval, _, follow in row]
-        n = max(words[-1][0] for words in exp + [queries[k]])
-        # as symbol -1, mode members sort ahead of equal expanded words
+        # bytes compare as zero-padded numbers, the shorter word first
+        # on equal bytes; as symbol -1, mode members sort ahead of equal
+        # expanded words
         entries = sorted(
-            (value << (n - length), -((value + 1) << (n - length)),
-             a, i, length, value)
+            ((value << (-length & 7)).to_bytes((length + 7) >> 3, "big"),
+             length, a, i, value)
             for a, words in enumerate([queries[k]] + exp, -1)
             for i, (length, value) in enumerate(words))
         overlaps = []
@@ -268,7 +275,7 @@ def validate(tree_set, method="direct"):
                     modes.pop()
             a, i = entry[2], entry[3]
             if a < 0:
-                modes.append(entry[4])
+                modes.append(entry[1])
             else:
                 for outer in stack:
                     b, j = outer[2], outer[3]
@@ -283,7 +290,7 @@ def validate(tree_set, method="direct"):
             stack.append(entry)
         overlaps.sort()
         for a, b, i, j in overlaps:
-            w1, w2 = _text(exp[a][i]), _text(exp[b][j])
+            w1, w2 = pair_text(*exp[a][i]), pair_text(*exp[b][j])
             na, nb = tree_set.symbol_name(a), tree_set.symbol_name(b)
             violations.append(Violation(
                 "overlap", k, (na, nb), (w1, w2),
@@ -291,7 +298,7 @@ def validate(tree_set, method="direct"):
                 f"{w2!r} ({nb}) are comparable"))
         uncovered.sort()
         for a, i in uncovered:
-            w = _text(exp[a][i])
+            w = pair_text(*exp[a][i])
             na = tree_set.symbol_name(a)
             violations.append(Violation(
                 "coverage", k, (na,), (w,),
@@ -339,5 +346,5 @@ def check_delay_budget(tree_set, n):
     """True when every mode member fits in n bits."""
     if n < 0:
         raise ValueError("delay budget must be non-negative")
-    return all(q.length <= n
-               for tree in tree_set.trees for q in tree.mode)
+    # each tree's members are sorted shortest first
+    return all(members[-1][0] <= n for members in tree_set.queries)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import struct
 
-from .bitstring import BitString, sort_key
+from .bitstring import BitString, pair_text
 from .codetree import CodeTree, CodeTreeSet
 from .errors import AifvError, FormatError
 from .transform import VVCodeTable
@@ -59,10 +59,6 @@ def _check_symbol_names(names):
                               f"and hold no whitespace")
     if len(set(names)) != len(names):
         raise FormatError("symbol names must be unique")
-
-
-def _word_list(words):
-    return [w.text() for w in sorted(words, key=sort_key)]
 
 
 def dumps_document(doc):
@@ -97,11 +93,14 @@ def loads_document(text):
 def tree_set_to_doc(tree_set):
     """The document dict for a code-tree set, in canonical member order."""
     trees = []
-    for k, tree in enumerate(tree_set.trees):
+    # queries[k] holds tree k's mode members in canonical order already
+    for k, (row, members) in enumerate(zip(tree_set.rows,
+                                           tree_set.queries)):
         entry = {
-            "mode": _word_list(tree.mode),
-            "codewords": [w.text() for w in tree.cwords],
-            "next": list(tree.points),
+            "mode": [pair_text(*q) for q in members],
+            "codewords": [pair_text(clen, cval)
+                          for _, clen, cval, _, _ in row],
+            "next": [point for _, _, _, point, _ in row],
         }
         if tree_set.tree_names is not None:
             entry["name"] = tree_set.tree_names[k]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from aifv.bitstring import BitString, sort_key
+from aifv.bitstring import BitString
 from aifv.codec import DecodeTrace
 from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
 from aifv.errors import NoMatch, StructureViolation, Truncated
@@ -48,6 +48,11 @@ small_headers = st.builds(
 
 def bits(text):
     return BitString.from_text(text)
+
+
+def word_key(w):
+    """Canonical member order: by length, then numerically."""
+    return (w.length, w.value)
 
 
 ZERO, ONE = BitString(0, 1), BitString(1, 1)
@@ -141,7 +146,7 @@ def validate_oracle(tree_set):
                 "unreachable", k, (), (),
                 f"tree {k} cannot be reached from tree 0"))
     for k in range(tree_set.tree_count):
-        exp = [[w.text() for w in sorted(words, key=sort_key)]
+        exp = [[w.text() for w in sorted(words, key=word_key)]
                for words in expands(tree_set, k)]
         mode = [q.text() for q in tree_set.trees[k].mode]
         names = tree_set.symbols
@@ -164,6 +169,25 @@ def validate_oracle(tree_set):
                         f"tree {k}: expanded codeword {w!r} ({names[a]}) "
                         f"has no prefix in the tree's mode"))
     return violations
+
+
+def doc_oracle(tree_set):
+    """The document ``tree_set_to_doc`` must write, read off ``trees``.
+
+    Each tree's mode is written in canonical member order, by length
+    and then numerically, and its codewords and successors by symbol.
+    """
+    trees = []
+    for k, tree in enumerate(tree_set.trees):
+        entry = {
+            "mode": [w.text() for w in sorted(tree.mode, key=word_key)],
+            "codewords": [w.text() for w in tree.cwords],
+            "next": list(tree.points),
+        }
+        if tree_set.tree_names is not None:
+            entry["name"] = tree_set.tree_names[k]
+        trees.append(entry)
+    return {"alphabet": list(tree_set.symbols), "trees": trees}
 
 
 def decode_oracle(tree_set, bits, length):
@@ -225,7 +249,7 @@ def random_valid_tree_set(rng, max_trees=4, max_symbols=3):
     for k in range(tree_count):
         mode = frozenset(BitString.from_text(t)
                          for t in rng.choice(MODE_POOL))
-        slots = sorted(mode, key=sort_key)
+        slots = sorted(mode, key=word_key)
         while len(slots) < symbol_count:
             s = slots.pop(rng.randrange(len(slots)))
             slots.extend([s + ZERO, s + ONE])

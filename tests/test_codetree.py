@@ -1,13 +1,18 @@
 """Code-tree sets: validation, delay, fullness."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import (Phase, example, find, given, settings,
                         strategies as st)
 
 from aifv.bitstring import BitString, is_prefix, strip_prefix
+from aifv import codetree
 from aifv.codetree import (CodeTree, CodeTreeSet, check_delay_budget,
                            decoding_delay, is_full, reachable_trees,
                            validate)
@@ -391,4 +396,78 @@ def test_validate_scales_to_large_trees():
                for method in ("direct", "interval")]
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in reports)
+    assert elapsed < 1.0, f"validation took {elapsed:.2f} s"
+
+
+@st.composite
+def word_lists(draw):
+    # short words, words around the byte boundaries and a few of
+    # hundreds of bits, then prefixes and copies of drawn ones
+    lengths = st.integers(0, 4) | st.integers(6, 18) | st.integers(200, 600)
+    base = draw(st.lists(lengths.flatmap(lambda n: st.builds(
+        BitString, st.integers(0, (1 << n) - 1), st.just(n))),
+        min_size=1, max_size=12))
+    prefixes = [w.prefix(draw(st.integers(0, w.length)))
+                for w in draw(st.lists(st.sampled_from(base), max_size=6))]
+    copies = draw(st.lists(st.sampled_from(base), max_size=3))
+    return draw(st.permutations(base + prefixes + copies))
+
+
+@settings(deadline=None)
+@given(word_lists())
+@example([bits(""), bits("1"), bits("10000000"), bits("100000000"),
+          bits("1"), bits("0111111111")])
+def test_sweep_order_matches_scaled_interval_order(words):
+    # one tree whose expanded words are the words themselves, each a
+    # symbol of its own, under the single mode member ''
+    ts = CodeTreeSet([CodeTree(words, [0] * len(words), [bits("")])])
+    swept = []
+
+    def spy(entries):
+        swept[:] = sorted(entries)
+        return swept
+
+    with mock.patch.object(codetree, "sorted", spy, create=True):
+        validate(ts)
+    # the oracle scales every word to the longest one and sorts by
+    # left end ascending, then right end descending
+    n = max(w.length for w in words)
+    expected = sorted(
+        [(0, 0, -1)] + [(w.length, w.value, a) for a, w in enumerate(words)],
+        key=lambda e: (e[1] << (n - e[0]), -((e[1] + 1) << (n - e[0])),
+                       e[2]))
+    # sweep entries are (bytes, length, symbol, index, value)
+    assert [(e[1], e[4], e[2]) for e in swept] == expected
+
+
+# a tree of 4095 12-bit codewords, and the last 12-bit word extended by
+# 400,000 bits, validated by both methods under a 256 MB address-space
+# cap; scaling every word to the longest needs far more than the cap
+LONG_WORD_RUN = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from aifv.bitstring import BitString
+from aifv.codetree import CodeTree, CodeTreeSet, validate
+n = 12 + 400_000
+cwords = [BitString(v, 12) for v in range(4095)] \
+    + [BitString((1 << n) - 1, n)]
+ts = CodeTreeSet([CodeTree(cwords, [0] * 4096, [BitString()])])
+start = time.perf_counter()
+reports = [validate(ts, method) for method in ("direct", "interval")]
+elapsed = time.perf_counter() - start
+assert all(r.ok and r.delay == 0 for r in reports), reports
+print(elapsed)
+"""
+
+
+def test_validate_memory_is_linear_in_word_bits():
+    pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_WORD_RUN],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    elapsed = float(done.stdout)
     assert elapsed < 1.0, f"validation took {elapsed:.2f} s"

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
+from aifv.codetree import CodeTreeSet, check_delay_budget, validate
 from aifv.errors import FormatError
 from aifv.formats import (dumps_document, loads_document, parse_conventional,
                           parse_distribution, parse_tree_set, parse_vv_table,
                           read_bitstream, tree_set_to_doc, write_bitstream)
+from aifv.transform import to_basic
 from aifv import examples
 
-from conftest import (bits, json_values, random_valid_tree_set,
-                      small_headers)
+from conftest import (bits, doc_oracle, json_values, mutate_tree_set,
+                      random_valid_tree_set, small_headers)
 
 SEED = 20240816
 
@@ -42,6 +44,24 @@ def test_document_round_trip_random_sets():
             assert a.cwords == b.cwords
             assert a.points == b.points
             assert a.mode == b.mode
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_writer_and_delay_budget_match_tree_oracles(rng):
+    ts = random_valid_tree_set(rng)
+    broken = mutate_tree_set(rng, ts)
+    sets = [ts, broken, to_basic(ts)]
+    if validate(broken).ok:
+        sets.append(to_basic(broken))
+    for plain in sets:
+        names = [f"T{k}" for k in range(plain.tree_count)]
+        for named in (plain, CodeTreeSet(plain.trees, plain.symbols, names)):
+            assert dumps_document(tree_set_to_doc(named)) \
+                == dumps_document(doc_oracle(named))
+        longest = max(q.length for t in plain.trees for q in t.mode)
+        for n in range(longest + 2):
+            assert check_delay_budget(plain, n) == (longest <= n)
 
 
 def test_document_preserves_names_and_references():
