@@ -25,23 +25,32 @@ it, so every shift and mask acts on a small integer, every decision
 sees at least ``reach`` bits or the whole rest of the stream, and there
 is a full ``_RUN_BITS`` peek wherever the stream still has one.
 
-Because a decision is final once its codeword and lookahead are in
-hand, the bits of a peek fix every symbol whose codeword and lookahead
-both end inside it.  This is table-lookup decoding of prefix codes
-(Moffat and Turpin, 1997), extended to emit several symbols per lookup:
-the decoder caches, per tree and ``_RUN_BITS``-bit peek, the run of
-symbols the peek decides, and on a later visit emits the whole run at
-once.  On a skewed source, where most symbols cost 0 or 1 bits, one
-lookup emits about ten symbols.  Every tree gets run slots; on a tree
-none of whose expanded words fits in the peek, every peek stores the
-empty run, so its symbols keep the walk.
+Both sides cache runs: table-lookup coding (Moffat and Turpin, 1997),
+extended to several symbols per lookup.
+
+- Because a decision is final once its codeword and lookahead are in
+  hand, the bits of a peek fix every symbol whose codeword and
+  lookahead both end inside it.  The decoder caches, per tree and
+  ``_RUN_BITS``-bit peek, the run of symbols the peek decides, and on
+  a later visit emits the whole run at once.  On a skewed source,
+  where most symbols cost 0 or 1 bits, one lookup emits about ten
+  symbols.  Every tree gets run slots; on a tree none of whose
+  expanded words fits in the peek, every peek stores the empty run,
+  so its symbols keep the walk.
+- From tree k, four symbols fix one composite codeword and the tree
+  they end in: a block of the set's 4-symbol extension, a
+  variable-to-variable code with a fixed parse.  On an alphabet of at
+  most four symbols, four 2-bit ids fill one byte, so the encoder
+  caches, per tree and byte, the block's bits and end tree, and emits
+  four symbols per lookup.  Wider alphabets keep the per-symbol walk.
 
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
 successor's mode members as (length, value) pairs).  The validator
-reads the same rows.  ``reach`` and the run slots are the decoder's
-own cache, kept on the set and built on its first decode; the runs
-are filled as decodes meet new peeks.
+reads the same rows.  ``reach``, the decoder's run slots and the
+encoder's block slots are the codec's own cache, kept in the set's
+``_codec`` slot and built on first use by either side; the slots are
+filled as the codec meets new peeks and blocks.
 """
 
 from __future__ import annotations
@@ -57,6 +66,32 @@ _CHUNK_BITS = 256
 # peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
 # for a set of K trees
 _RUN_BITS = 8
+
+
+def _tables(tree_set):
+    """The set's codec cache: ``(reach, runs, blocks)``.
+
+    ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
+    ``blocks[k][key]`` the encoder's block for four symbols packed into
+    the byte ``key``, or None while unseen; ``blocks`` is None on
+    alphabets of more than four symbols.
+    """
+    if tree_set._codec is None:
+        rows = tree_set.rows
+        tree_set._codec = (
+            # follow[-1] is the successor's longest mode member
+            max(clen + follow[-1][0]
+                for row in rows for _, clen, _, _, follow in row),
+            [[None] * (1 << _RUN_BITS) for _ in rows],
+            [[None] * 256 for _ in rows] if len(rows[0]) <= 4 else None)
+    return tree_set._codec
+
+
+def _spill(out, acc, acc_len):
+    """Move the accumulator's whole bytes to ``out``; returns the rest."""
+    spare = acc_len & 7
+    out += (acc >> spare).to_bytes(acc_len >> 3, "big")
+    return acc & ((1 << spare) - 1), spare
 
 
 class EncodeResult:
@@ -87,6 +122,16 @@ def _encode_body(tree_set, symbols):
     ``formats.write_bitstream`` layout) and at most 7 bits stay behind.
     One ``int.from_bytes`` at the end joins the buffer, so the cost is
     linear in the body length.
+
+    On an alphabet of at most four symbols, a re-iterable ``symbols``
+    whose ids all lie in the alphabet is encoded four at a time: block
+    j's ids, ``data[4j:4j+4]``, are packed two bits each into the byte
+    ``key``, first id lowest, and ``blocks[k][key]`` holds the block's
+    ``(length, value, end tree)`` from tree k, walked and stored on the
+    first visit.  The per-symbol walk then encodes the last
+    ``len(data) % 4`` ids.  Any other input takes the walk alone, which
+    raises at the first id that is not an int inside the alphabet; a
+    one-shot iterator is never read twice.
     """
     rows = tree_set.rows
     m = len(rows[0])
@@ -94,6 +139,39 @@ def _encode_body(tree_set, symbols):
     acc = 0
     acc_len = 0
     k = 0
+    it = iter(symbols)
+    if m <= 4 and it is not symbols:
+        try:
+            # bytes() would copy the raw memory of a buffer such as an
+            # array, so only a list or tuple is handed over directly
+            data = bytes(symbols if type(symbols) in (list, tuple) else it)
+        except (TypeError, ValueError):
+            data = None
+        # deleting the alphabet's ids leaves nothing
+        if data is not None and not data.translate(None, bytes(range(m))):
+            blocks = _tables(tree_set)[2]
+            full = len(data) & -4
+            # byte 4j of x holds block j's first id, bytes 4j+1..4j+3 the
+            # others: shifted by 6, 12 and 18 bits, each lands on its
+            # 2-bit field of byte 4j, where every other field is zero
+            x = int.from_bytes(data[:full], "little")
+            keys = (x | x >> 6 | x >> 12 | x >> 18).to_bytes(full, "little")
+            for key in keys[::4]:
+                block = blocks[k][key]
+                if block is None:
+                    _, l0, v0, point, _ = rows[k][key & 3]
+                    _, l1, v1, point, _ = rows[point][key >> 2 & 3]
+                    _, l2, v2, point, _ = rows[point][key >> 4 & 3]
+                    _, l3, v3, point, _ = rows[point][key >> 6]
+                    block = blocks[k][key] = (
+                        l0 + l1 + l2 + l3,
+                        ((v0 << l1 | v1) << l2 | v2) << l3 | v3, point)
+                length, value, k = block
+                acc = (acc << length) | value
+                acc_len += length
+                if acc_len >= _CHUNK_BITS:
+                    acc, acc_len = _spill(out, acc, acc_len)
+            symbols = data[full:]
     for x in symbols:
         if not 0 <= x < m:
             raise SymbolOutOfRange(f"symbol id {x} out of range")
@@ -102,10 +180,7 @@ def _encode_body(tree_set, symbols):
         acc_len += length
         k = point
         if acc_len >= _CHUNK_BITS:
-            spare = acc_len & 7
-            out += (acc >> spare).to_bytes(acc_len >> 3, "big")
-            acc &= (1 << spare) - 1
-            acc_len = spare
+            acc, acc_len = _spill(out, acc, acc_len)
     value = (int.from_bytes(out, "big") << acc_len) | acc
     return BitString(value, len(out) * 8 + acc_len), k
 
@@ -157,9 +232,9 @@ def decode(tree_set, bits, length):
     as in the whole stream, and the stream tail is always fully in the
     window.
 
-    ``reach`` and the run slots, one per tree and peek, are built on a
-    set's first decode and kept in its ``_decoder`` slot, so the peek
-    width is fixed for the life of the set.  A step that has
+    ``reach`` and the run slots, one per tree and peek, are built on
+    first use by the encoder or the decoder and kept in the set's
+    ``_codec`` slot, so the peek width is fixed for the life of the set.  A step that has
     ``_RUN_BITS`` bits in the window peeks at them and looks the peek
     up in the current tree's run slots.  A stored run
     that fits in the symbols still wanted is applied at once: its
@@ -190,13 +265,7 @@ def decode(tree_set, bits, length):
         raise ValueError("symbol count must be non-negative")
     peek_bits = _RUN_BITS
     rows = tree_set.rows
-    if tree_set._decoder is None:
-        # follow[-1] is the successor's longest mode member
-        tree_set._decoder = (
-            max(clen + follow[-1][0]
-                for row in rows for _, clen, _, _, follow in row),
-            [[None] * (1 << peek_bits) for _ in rows])
-    reach, runs = tree_set._decoder
+    reach, runs, _ = _tables(tree_set)
     mask = (1 << peek_bits) - 1
     margin = reach + peek_bits
     cap = len(rows) * (peek_bits + 1)

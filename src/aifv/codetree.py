@@ -93,7 +93,7 @@ class CodeTreeSet:
     """
 
     __slots__ = ("trees", "symbols", "tree_names", "queries", "rows",
-                 "_reports", "_decoder")
+                 "_reports", "_codec")
 
     def __init__(self, trees, symbols=None, tree_names=None):
         trees = tuple(trees)
@@ -132,7 +132,7 @@ class CodeTreeSet:
                                                      tree.points)))
             for tree in trees]
         self._reports = {}
-        self._decoder = None  # codec.decode's cache, written only there
+        self._codec = None  # the codec's cache, written only there
 
     @property
     def tree_count(self):

@@ -10,11 +10,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from aifv import examples
 from aifv.bitstring import BitString
 from aifv.codec import DecodeTrace
 from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
 from aifv.errors import NoMatch, StructureViolation, Truncated
-from aifv.transform import _assemble
+from aifv.formats import parse_conventional
+from aifv.transform import _assemble, import_aifv2, import_aifvm
 from aifv.wordset import reduce
 
 # modes used by the random set generator; all prefix-free, members <= 3 bits
@@ -190,6 +192,20 @@ def doc_oracle(tree_set):
     return {"alphabet": list(tree_set.symbols), "trees": trees}
 
 
+def encode_oracle(tree_set, symbols):
+    """The text ``encode`` must return: codewords, then termination.
+
+    The codeword texts along the tree path are joined, and the shortest
+    member of the final tree's mode, ties broken toward 0, ends them.
+    """
+    words = []
+    k = 0
+    for x in symbols:
+        words.append(tree_set.trees[k].cwords[x].text())
+        k = tree_set.trees[k].points[x]
+    return "".join(words) + min(tree_set.trees[k].mode, key=word_key).text()
+
+
 def decode_oracle(tree_set, bits, length):
     """What ``decode`` must return or raise, from a whole-stream scan.
 
@@ -233,18 +249,20 @@ def decode_oracle(tree_set, bits, length):
     return DecodeTrace(out, lookaheads, pos)
 
 
-def random_valid_tree_set(rng, max_trees=4, max_symbols=3):
+def random_valid_tree_set(rng, max_trees=4, max_symbols=3,
+                          symbol_count=None):
     """A random set that is valid by construction.
 
     Every codeword extends a distinct member of its own tree's mode
     (splitting members into incomparable slots as needed), which forces
     both decodability conditions no matter where the trees point; a
-    fixed hop to tree k+1 keeps every tree reachable.
+    fixed hop to tree k+1 keeps every tree reachable.  The alphabet has
+    ``symbol_count`` symbols if given, else 1 to ``max_symbols`` (at
+    most 3).
     """
     tree_count = rng.randint(1, max_trees)
-    symbol_count = rng.choice([1] + [2, 3] * 3)
-    if symbol_count > max_symbols:
-        symbol_count = max_symbols
+    if symbol_count is None:
+        symbol_count = min(rng.choice([1] + [2, 3] * 3), max_symbols)
     trees = []
     for k in range(tree_count):
         mode = frozenset(BitString.from_text(t)
@@ -265,6 +283,17 @@ def random_valid_tree_set(rng, max_trees=4, max_symbols=3):
                           else rng.randrange(tree_count))
         trees.append(CodeTree(cwords, points, mode))
     return CodeTreeSet(trees)
+
+
+def imported_examples():
+    """The package's three conventional example codes, imported."""
+    sets = []
+    for doc in (examples.quaternary_aifv2_doc(),
+                examples.quaternary_aifv3_doc(), examples.skewed_aifv3_doc()):
+        kind, m, convention, symbols, trees = parse_conventional(doc)
+        sets.append(import_aifv2(trees, symbols) if kind == "aifv2"
+                    else import_aifvm(trees, m, symbols, convention))
+    return sets
 
 
 def mutate_tree_set(rng, tree_set):

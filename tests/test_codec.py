@@ -1,5 +1,6 @@
 """Encoding and decoding: golden values, traces, and failure modes."""
 
+import array
 import itertools
 import random
 import time
@@ -14,7 +15,8 @@ from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
 
-from conftest import bits, decode_oracle, random_valid_tree_set
+from conftest import (bits, decode_oracle, encode_oracle,
+                      imported_examples, random_valid_tree_set)
 
 SEED = 20240814
 
@@ -26,7 +28,7 @@ def tree(mode, rows):
 
 def run_slots(ts):
     """The decoder's run slots, one list per tree, cached on the set."""
-    return ts._decoder[1]
+    return ts._codec[1]
 
 
 def test_golden_encode():
@@ -136,13 +138,75 @@ def test_symbol_out_of_range():
         encode(ts, [-1])
 
 
+def encode_error(ts, symbols):
+    with pytest.raises((SymbolOutOfRange, TypeError)) as err:
+        encode(ts, symbols)
+    return type(err.value), str(err.value)
+
+
 def test_symbol_ids_must_be_ints_inside_the_alphabet():
-    ts = examples.binary_delay3_set()
-    for x in (-1, ts.symbol_count, 2 ** 70):
+    # a bad id at every position of the first two blocks of four and the
+    # first of the third, in a list, a tuple and a generator
+    for ts in (examples.binary_delay3_set(), examples.skewed_delay3_set()):
+        m = ts.symbol_count
+        msg = [a % m for a in range(12)]
+        for x in (-1, m, 255, 256, 2 ** 70, 1.0):
+            for i in range(9):
+                bad = msg[:i] + [x] + msg[i + 1:]
+                got = encode_error(ts, bad)
+                if x == 1.0:
+                    assert got[0] is TypeError
+                else:
+                    assert got == (SymbolOutOfRange,
+                                   f"symbol id {x} out of range")
+                assert encode_error(ts, tuple(bad)) == got
+                assert encode_error(ts, (a for a in bad)) == got
+        # the set's cached blocks are untouched by the failed calls
+        assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)
+
+
+def test_one_shot_iterators_are_read_once():
+    ts = examples.skewed_delay3_set()
+    msg = [3, 1, 0, 2, 2, 0, 1]
+    expected = encode_oracle(ts, msg)
+    assert encode(ts, iter(msg)).bits.text() == expected
+    assert encode(ts, (a for a in msg)).bits.text() == expected
+    # an array is read by value, not as raw memory
+    assert encode(ts, array.array("i", msg)).bits.text() == expected
+    seen = []
+
+    def symbols():
+        for a in msg + [4, 0, 0, 0, 0]:
+            seen.append(a)
+            yield a
+    with pytest.raises(SymbolOutOfRange, match="symbol id 4 out of range"):
+        encode(ts, symbols())
+    assert seen == msg + [4]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_encode_matches_text_oracle(seed):
+    # a seeded generator: the test draws too many values to shrink them
+    rng = random.Random(seed)
+    # fresh sets, so the first message meets an empty block table: 1-3
+    # symbols, the four-symbol examples and imports, 4 and 6 symbols
+    sets = [random_valid_tree_set(rng), examples.skewed_delay3_set(),
+            *imported_examples(), random_valid_tree_set(rng, symbol_count=4),
+            random_valid_tree_set(rng, symbol_count=6)]
+    for ts in sets:
+        m = ts.symbol_count
+        # every length 0-40, so every length mod 4, in random order
+        msgs = [[rng.randrange(m) for _ in range(n)] for n in range(41)]
+        rng.shuffle(msgs)
+        expected = [encode_oracle(ts, msg) for msg in msgs]
+        assert [encode(ts, msg).bits.text() for msg in msgs] == expected
+        bad = list(msgs[0])
+        bad.insert(rng.randint(0, len(bad)), rng.choice([-1, m, 2 ** 70]))
         with pytest.raises(SymbolOutOfRange):
-            encode(ts, [0, x])
-    with pytest.raises(TypeError):
-        encode(ts, [0, 1.0])
+            encode(ts, bad)
+        assert [encode(ts, tuple(msg)).bits.text() for msg in msgs] == \
+            expected
 
 
 def test_round_trip_exhaustive_on_examples():
@@ -209,14 +273,7 @@ def test_decode_matches_whole_stream_oracle(rng):
           else random_valid_tree_set(rng))
     msg = [rng.randrange(ts.symbol_count) for _ in range(rng.randint(0, 60))]
     clean = encode(ts, msg).bits
-    # the codeword texts along the tree path, then the termination
-    words = []
-    k = 0
-    for x in msg:
-        words.append(ts.trees[k].cwords[x].text())
-        k = ts.trees[k].points[x]
-    shortest = min(ts.trees[k].mode, key=lambda q: (q.length, q.value))
-    expected_text = "".join(words) + shortest.text()
+    expected_text = encode_oracle(ts, msg)
     assert clean.text() == expected_text
     flipped = clean
     for _ in range(rng.randint(1, 3) if clean.length else 0):

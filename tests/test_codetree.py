@@ -20,12 +20,12 @@ from aifv.errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                          Unvalidated)
 from aifv import examples
 from aifv.codec import encode
-from aifv.formats import parse_conventional
-from aifv.transform import import_aifv2, import_aifvm, to_basic
+from aifv.transform import to_basic
 from aifv.wordset import reduce
 
-from conftest import (ONE, ZERO, bits, expands, mutate_tree_set,
-                      random_valid_tree_set, validate_oracle)
+from conftest import (ONE, ZERO, bits, expands, imported_examples,
+                      mutate_tree_set, random_valid_tree_set,
+                      validate_oracle)
 
 SEED = 20240813
 
@@ -178,16 +178,6 @@ def is_full_by_definition(ts):
     return ts.trees[0].mode == {BitString()} and all(
         reduce(tree.mode) == reduce(frozenset().union(*expands(ts, k)))
         for k, tree in enumerate(ts.trees))
-
-
-def imported_examples():
-    sets = []
-    for doc in (examples.quaternary_aifv2_doc(),
-                examples.quaternary_aifv3_doc(), examples.skewed_aifv3_doc()):
-        kind, m, convention, symbols, trees = parse_conventional(doc)
-        sets.append(import_aifv2(trees, symbols) if kind == "aifv2"
-                    else import_aifvm(trees, m, symbols, convention))
-    return sets
 
 
 def test_is_full_matches_definition_on_examples():
