@@ -74,7 +74,36 @@ def _load_tree_set(path):
     return tree_set
 
 
+# every character str.split() splits on, the ones with str.isspace()
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+               "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008"
+               "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def _latin1_names(tree_set):
+    """The symbol names as one latin-1 byte each, or None if any is not."""
+    names = tree_set.symbols
+    if all(len(name) == 1 for name in names):
+        try:
+            return "".join(names).encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+    return None
+
+
 def _parse_symbol_text(text, tree_set):
+    codes = _latin1_names(tree_set)
+    if codes is not None:
+        # one pass: each name becomes chr(id), whitespace goes, and any
+        # other character below 256 becomes chr(256); that, or a wider
+        # character left as it is, fails the latin-1 encoding
+        table = dict.fromkeys(range(256), chr(256))
+        table.update(zip(codes, map(chr, range(len(codes)))))
+        table.update(dict.fromkeys(map(ord, _WHITESPACE)))
+        try:
+            return text.translate(table).encode("latin-1")
+        except UnicodeEncodeError:
+            pass  # an unknown character, which the loop below names
     index = {name: a for a, name in enumerate(tree_set.symbols)}
     tokens = text.split()
     if all(len(name) == 1 for name in tree_set.symbols):
@@ -156,9 +185,18 @@ def _cmd_decode(args):
     if length is None:
         raise FormatError("a symbol count is required: pass --length")
     trace = decode(tree_set, bits, length)
-    names = tree_set.symbols
-    _write_text(args.output,
-                " ".join([names[a] for a in trace.symbols]) + "\n")
+    codes = _latin1_names(tree_set)
+    if codes is None:
+        names = tree_set.symbols
+        text = " ".join([names[a] for a in trace.symbols]) + "\n"
+    else:
+        # the names go to the even bytes, between spaces, and "\n"
+        # replaces the last space, or is the whole output when empty
+        out = bytearray(b" ") * (2 * len(trace.symbols))
+        out[::2] = bytes(trace.symbols).translate(codes.ljust(256, b"\0"))
+        out[-1:] = b"\n"
+        text = out.decode("latin-1")
+    _write_text(args.output, text)
     return 0
 
 

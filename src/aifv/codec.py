@@ -143,8 +143,9 @@ def _encode_body(tree_set, symbols):
     if m <= 4 and it is not symbols:
         try:
             # bytes() would copy the raw memory of a buffer such as an
-            # array, so only a list or tuple is handed over directly
-            data = bytes(symbols if type(symbols) in (list, tuple) else it)
+            # array, so only a list, tuple or bytes is handed over directly
+            data = bytes(symbols if type(symbols) in (list, tuple, bytes)
+                         else it)
         except (TypeError, ValueError):
             data = None
         # deleting the alphabet's ids leaves nothing

@@ -14,7 +14,7 @@ from aifv import examples
 from aifv.bitstring import BitString
 from aifv.codec import DecodeTrace
 from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
-from aifv.errors import NoMatch, StructureViolation, Truncated
+from aifv.errors import FormatError, NoMatch, StructureViolation, Truncated
 from aifv.formats import parse_conventional
 from aifv.transform import _assemble, import_aifv2, import_aifvm
 from aifv.wordset import reduce
@@ -247,6 +247,23 @@ def decode_oracle(tree_set, bits, length):
         pos += len(cwords[k][a])
         k = tree_set.trees[k].points[a]
     return DecodeTrace(out, lookaheads, pos)
+
+
+def symbol_text_oracle(text, names):
+    """The ids ``cli._parse_symbol_text`` must return, or its error.
+
+    The text is split on whitespace; when every name is one character,
+    the tokens are joined and read a character at a time.  The first
+    token that is not a name raises FormatError.
+    """
+    index = {name: a for a, name in enumerate(names)}
+    tokens = text.split()
+    if all(len(name) == 1 for name in names):
+        tokens = "".join(tokens)
+    try:
+        return [index[token] for token in tokens]
+    except KeyError as exc:
+        raise FormatError(f"unknown symbol {exc.args[0]!r}") from None
 
 
 def random_valid_tree_set(rng, max_trees=4, max_symbols=3,

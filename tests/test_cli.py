@@ -9,17 +9,20 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aifv.cli import main
+from aifv.cli import _WHITESPACE, _parse_symbol_text, main
+from aifv.errors import FormatError
 from aifv.formats import (dumps_document, loads_document, parse_tree_set,
                           tree_set_to_doc)
 from aifv import examples
 
 from conftest import (PARSER_KEYS, json_values, long_codeword_doc,
-                      mutate_tree_set, random_valid_tree_set, small_headers)
+                      mutate_tree_set, random_valid_tree_set, small_headers,
+                      symbol_text_oracle)
 
 
 @pytest.fixture
@@ -118,6 +121,83 @@ def test_symbol_text_run_on_and_spaced(capsys, tmp_path, trees_path):
     assert (code, out) == (0, "10011\n")
     code, _, err = run(capsys, "encode", str(path), "--text", "x0 x1x1")
     assert code == 2 and "unknown symbol 'x1x1'" in err
+
+
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+# one-character names: every latin-1 character that is not whitespace,
+# then some that latin-1 cannot encode, an astral one last
+LATIN1_NAMES = [c for c in map(chr, range(256)) if not c.isspace()]
+WIDE_NAMES = [chr(0x3B1 + i) for i in range(12)] + ["\U0001F600"]
+
+
+def test_whitespace_table_is_what_split_splits_on():
+    assert _WHITESPACE == "".join(SPACES)
+
+
+@st.composite
+def names_and_symbol_text(draw):
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([1, 4, 5, 244, 256, 257]))
+        pool = LATIN1_NAMES + WIDE_NAMES
+        if size <= len(LATIN1_NAMES) and draw(st.booleans()):
+            pool = LATIN1_NAMES
+        names = draw(st.permutations(pool))[:size]
+    else:
+        names = draw(st.lists(st.text("ab\x01\xe9\u03b1", min_size=1,
+                                      max_size=3),
+                              min_size=1, max_size=6, unique=True))
+    pieces = names + SPACES
+    if draw(st.booleans()):
+        # characters that equal chr(id) without being names, wide and
+        # astral characters, lone surrogates
+        pieces += [chr(a) for a in range(len(names))] + [
+            "q", "\xe9", "\u0100", "\u03b1", "\U0001F600", "\ud800",
+            "\udfff"]
+    return names, "".join(draw(st.lists(st.sampled_from(pieces),
+                                        max_size=30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(names_and_symbol_text())
+def test_symbol_text_parse_matches_oracle(case):
+    names, text = case
+    tree_set = types.SimpleNamespace(symbols=tuple(names))
+    try:
+        expected = symbol_text_oracle(text, names)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            _parse_symbol_text(text, tree_set)
+        assert str(info.value) == str(exc)
+    else:
+        assert list(_parse_symbol_text(text, tree_set)) == expected
+
+
+@pytest.mark.parametrize("names, message", [
+    (["a", "b", "c", "d", "e"], [4, 0, 3, 3, 1, 2]),
+    (["\xe9", "a"], [0, 1, 1, 0]),
+    (["\u03b1", "\u03b2"], [1, 0, 0, 1]),
+    (["x0", "x1", "yy"], [2, 0, 1, 2]),
+    (LATIN1_NAMES, [243, 0, 127, 128, 200]),
+    (LATIN1_NAMES + WIDE_NAMES[:12], [255, 0, 128, 243, 244, 255]),
+])
+def test_decode_output_is_the_names_joined_by_spaces(capsysbinary, tmp_path,
+                                                     names, message):
+    # one tree of fixed-length codewords names every symbol
+    width = max(1, (len(names) - 1).bit_length())
+    path = tmp_path / "named.json"
+    path.write_text(dumps_document({
+        "alphabet": names,
+        "trees": [{"mode": [""], "next": [0] * len(names),
+                   "codewords": [format(a, f"0{width}b")
+                                 for a in range(len(names))]}]}),
+        encoding="utf-8")
+    for msg in (message, []):
+        text = " ".join(names[a] for a in msg)
+        assert main(["encode", str(path), "--text", text]) == 0
+        stream = capsysbinary.readouterr().out.decode().strip()
+        assert main(["decode", str(path), "--bits", stream,
+                     "--length", str(len(msg))]) == 0
+        assert capsysbinary.readouterr().out == (text + "\n").encode()
 
 
 def test_decode_bits_argument(capsys, trees_path):

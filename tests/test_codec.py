@@ -146,8 +146,10 @@ def encode_error(ts, symbols):
 
 def test_symbol_ids_must_be_ints_inside_the_alphabet():
     # a bad id at every position of the first two blocks of four and the
-    # first of the third, in a list, a tuple and a generator
-    for ts in (examples.binary_delay3_set(), examples.skewed_delay3_set()):
+    # first of the third, in a list, a tuple, a generator and, where it
+    # fits in a byte, bytes
+    for ts in (examples.binary_delay3_set(), examples.skewed_delay3_set(),
+               random_valid_tree_set(random.Random(0), symbol_count=6)):
         m = ts.symbol_count
         msg = [a % m for a in range(12)]
         for x in (-1, m, 255, 256, 2 ** 70, 1.0):
@@ -161,6 +163,8 @@ def test_symbol_ids_must_be_ints_inside_the_alphabet():
                                    f"symbol id {x} out of range")
                 assert encode_error(ts, tuple(bad)) == got
                 assert encode_error(ts, (a for a in bad)) == got
+                if x in (m, 255):
+                    assert encode_error(ts, bytes(bad)) == got
         # the set's cached blocks are untouched by the failed calls
         assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)
 
@@ -206,6 +210,8 @@ def test_encode_matches_text_oracle(seed):
         with pytest.raises(SymbolOutOfRange):
             encode(ts, bad)
         assert [encode(ts, tuple(msg)).bits.text() for msg in msgs] == \
+            expected
+        assert [encode(ts, bytes(msg)).bits.text() for msg in msgs] == \
             expected
 
 
