@@ -91,25 +91,32 @@ def _latin1_names(tree_set):
     return None
 
 
+class _OneCharIds(dict):
+    """A ``str.translate`` table that refuses the characters it lacks.
+
+    ``str.translate`` keeps a character whose lookup raises LookupError;
+    FormatError is none, so the pass stops at the first unknown one.
+    """
+
+    def __missing__(self, code):
+        raise FormatError(f"unknown symbol {chr(code)!r}")
+
+
 def _parse_symbol_text(text, tree_set):
-    codes = _latin1_names(tree_set)
-    if codes is not None:
+    names = tree_set.symbols
+    if all(len(name) == 1 for name in names):
         # one pass: each name becomes chr(id), whitespace goes, and any
-        # other character below 256 becomes chr(256); that, or a wider
-        # character left as it is, fails the latin-1 encoding
-        table = dict.fromkeys(range(256), chr(256))
-        table.update(zip(codes, map(chr, range(len(codes)))))
+        # other character raises, first in text order ('abba' reads as
+        # 'a b b a')
+        table = _OneCharIds(zip(map(ord, names), map(chr, range(len(names)))))
         table.update(dict.fromkeys(map(ord, _WHITESPACE)))
-        try:
-            return text.translate(table).encode("latin-1")
-        except UnicodeEncodeError:
-            pass  # an unknown character, which the loop below names
-    index = {name: a for a, name in enumerate(tree_set.symbols)}
-    tokens = text.split()
-    if all(len(name) == 1 for name in tree_set.symbols):
-        tokens = "".join(tokens)  # then 'abba' reads as 'a b b a'
+        ids = text.translate(table)
+        # ids past 255 fit in no byte
+        return ids.encode("latin-1") if len(names) <= 256 \
+            else list(map(ord, ids))
+    index = {name: a for a, name in enumerate(names)}
     try:
-        return [index[token] for token in tokens]
+        return [index[token] for token in text.split()]
     except KeyError as exc:
         raise FormatError(f"unknown symbol {exc.args[0]!r}") from None
 

@@ -123,15 +123,14 @@ def _encode_body(tree_set, symbols):
     One ``int.from_bytes`` at the end joins the buffer, so the cost is
     linear in the body length.
 
-    On an alphabet of at most four symbols, a re-iterable ``symbols``
-    whose ids all lie in the alphabet is encoded four at a time: block
-    j's ids, ``data[4j:4j+4]``, are packed two bits each into the byte
-    ``key``, first id lowest, and ``blocks[k][key]`` holds the block's
-    ``(length, value, end tree)`` from tree k, walked and stored on the
-    first visit.  The per-symbol walk then encodes the last
-    ``len(data) % 4`` ids.  Any other input takes the walk alone, which
-    raises at the first id that is not an int inside the alphabet; a
-    one-shot iterator is never read twice.
+    On an alphabet of at most four symbols, a list, tuple or bytes
+    ``symbols`` whose ids all lie in the alphabet is encoded four at a
+    time: block j's ids, ``data[4j:4j+4]``, are packed two bits each
+    into the byte ``key``, first id lowest, and ``blocks[k][key]`` holds
+    the block's ``(length, value, end tree)`` from tree k, walked and
+    stored on the first visit.  The per-symbol walk then encodes the
+    last ``len(data) % 4`` ids.  Any other input takes the walk alone,
+    which raises at the first id that is not an int inside the alphabet.
     """
     rows = tree_set.rows
     m = len(rows[0])
@@ -139,13 +138,10 @@ def _encode_body(tree_set, symbols):
     acc = 0
     acc_len = 0
     k = 0
-    it = iter(symbols)
-    if m <= 4 and it is not symbols:
+    # bytes() would copy the raw memory of a buffer such as an array
+    if m <= 4 and type(symbols) in (list, tuple, bytes):
         try:
-            # bytes() would copy the raw memory of a buffer such as an
-            # array, so only a list, tuple or bytes is handed over directly
-            data = bytes(symbols if type(symbols) in (list, tuple, bytes)
-                         else it)
+            data = bytes(symbols)
         except (TypeError, ValueError):
             data = None
         # deleting the alphabet's ids leaves nothing
@@ -235,13 +231,13 @@ def decode(tree_set, bits, length):
 
     ``reach`` and the run slots, one per tree and peek, are built on
     first use by the encoder or the decoder and kept in the set's
-    ``_codec`` slot, so the peek width is fixed for the life of the set.  A step that has
-    ``_RUN_BITS`` bits in the window peeks at them and looks the peek
-    up in the current tree's run slots.  A stored run
-    that fits in the symbols still wanted is applied at once: its
-    symbols, lookaheads, bits and final tree.  Otherwise the step walks
-    the tree's candidate rows and stops at the first confirmed match:
-    the set is valid, so no later row can match too.
+    ``_codec`` slot, so the peek width is fixed for the life of the
+    set.  A step that has ``_RUN_BITS`` bits in the window peeks at
+    them and looks the peek up in the current tree's run slots.  A
+    stored run that fits in the symbols still wanted is applied at
+    once: its symbols, lookaheads, bits and final tree.  Otherwise the
+    step walks the tree's candidate rows and stops at the first
+    confirmed match: the set is valid, so no later row can match too.
 
     A peek met for the first time is recorded as the walk goes on: the
     symbols decoded from there, for as long as each codeword and its

@@ -56,6 +56,18 @@ def test_validate_ok(capsys, trees_path):
     assert code == 0 and out == "valid\n"
 
 
+def test_validate_both_methods_disagreeing_exits_1(capsys, trees_path,
+                                                   monkeypatch):
+    from aifv import cli
+    reports = {"direct": types.SimpleNamespace(ok=True, violations=[]),
+               "interval": types.SimpleNamespace(ok=False,
+                                                 violations=["overlap"])}
+    monkeypatch.setattr(cli, "validate", lambda ts, method: reports[method])
+    code, out, err = run(capsys, "validate", trees_path, "--method", "both")
+    assert (code, out, err) == (1, "", "error: validation methods "
+                                "disagree\n")
+
+
 def test_validate_invalid_set(capsys, broken_path):
     code, out, _ = run(capsys, "validate", broken_path)
     assert code == 1
@@ -247,6 +259,17 @@ def test_binary_round_trip_via_files(capsys, trees_path, tmp_path):
     assert (code, out) == (0, "a b b\n")
 
 
+def test_binary_round_trip_via_stdout_and_stdin(capsysbinary, trees_path,
+                                                monkeypatch):
+    assert main(["encode", trees_path, "--text", "a b b a a",
+                 "--format", "binary"]) == 0
+    blob = capsysbinary.readouterr().out
+    assert blob[:4] == b"AIFV"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(blob)))
+    assert main(["decode", trees_path, "--input", "-"]) == 0
+    assert capsysbinary.readouterr().out == b"a b b a a\n"
+
+
 def test_ascii_file_round_trip(capsys, trees_path, tmp_path):
     bits_path = str(tmp_path / "stream.txt")
     code, _, _ = run(capsys, "encode", trees_path, "--text", "b a b",
@@ -282,6 +305,14 @@ def test_analyze_text_and_json(capsys, trees_path, tmp_path):
     assert code == 0
     assert "expected code length: 1.050000" in out
     assert "decoding delay: 3" in out
+    code, out, _ = run(capsys, "analyze", trees_path,
+                       "--dist", str(dist_path), "--mc", "2000",
+                       "--seed", "9")
+    assert code == 0
+    line = out.splitlines()[-1]
+    assert line.startswith("monte carlo rate: ")
+    assert line.endswith(" (n=2000, seed=9)")
+    assert abs(float(line.split()[3]) - 1.05) < 0.1
     code, out, _ = run(capsys, "analyze", trees_path,
                        "--dist", str(dist_path), "--json",
                        "--mc", "2000", "--seed", "9")
@@ -507,6 +538,16 @@ def test_reduce_words_sharing_no_first_bit_is_fast(capsys, tmp_path):
     parse_tree_set(loads_document(out))  # stays loadable and valid
 
 
+RAISE_LOWER_CYCLE_VV_DOC = {
+    "depth": 4, "symbols": ["a", "b"],
+    "states": {"": {"lcword": "", "follow": [""]},
+               "a": {"lcword": "01", "follow": [""]},
+               "aa": {"lcword": "0", "follow": ["1"]},
+               "aaa": {"lcword": "0", "follow": ["0"]}},
+    "blocks": {"aaaa": "000", "aaab": "001", "aab": "010", "ab": "011",
+               "b": "1"}}
+
+
 def test_convert_vv_command(capsys, tmp_path):
     src = tmp_path / "table.json"
     src.write_text(dumps_document(examples.pair_huffman_vv_doc()))
@@ -518,6 +559,11 @@ def test_convert_vv_command(capsys, tmp_path):
     bad.write_text('{"depth": 2, "symbols": ["a"], "states": 5}\n')
     code, _, err = run(capsys, "convert-vv", str(bad))
     assert code == 2 and "error:" in err
+    # a table whose raise/lower rewriting never settles
+    bad.write_text(json.dumps(RAISE_LOWER_CYCLE_VV_DOC))
+    code, out, err = run(capsys, "convert-vv", str(bad))
+    assert (code, out, err) == (1, "", "error: table rewriting did not "
+                                "settle\n")
 
 
 def test_convert_vv_refuses_two_spellings_of_one_key(capsys, tmp_path):

@@ -381,6 +381,8 @@ def test_parse_vv_table_refusals():
          "block 'bb' must be a codeword or an object"),
         (broken(lambda d: d.__setitem__("depth", 0)),
          "parse depth must be at least 1"),
+        (broken(lambda d: d.__setitem__("symbols", [])),
+         "'symbols' must be a non-empty list of names"),
         (broken(lambda d: d["states"].__setitem__(
             "bbb", {"lcword": "11", "follow": ["1"]})),
          "state (1, 1, 1) has no parent state"),

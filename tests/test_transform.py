@@ -293,6 +293,21 @@ def test_vv_table_structural_checks():
     with pytest.raises(DepthExceeded):  # block past the depth
         VVCodeTable(1, ["a", "b"], root, root_f,
                     {(0,): bits("0"), (1, 0): bits("10")})
+    full = {(0,): bits("0"), (1,): bits("1")}
+    for args, message in [
+            (([], root, root_f, {}), "a VV code needs at least one symbol"),
+            ((["a", "b"], root, {(): [bits("")], (0,): [bits("")]}, full),
+             "states with codewords and states with follow sets differ"),
+            ((["a", "b"], {(): bits(""), (2,): bits("")},
+              {(): [bits("")], (2,): [bits("")]}, full),
+             "state (2,) uses unknown symbols"),
+            ((["a", "b"], root, {(): []}, full),
+             "state () has an empty follow set"),
+            ((["a", "b"], root, root_f, full, {(0, 0): ()}),
+             "recurrence on unknown block (0, 0)")]:
+        with pytest.raises(StructureViolation) as err:
+            VVCodeTable(2, *args)
+        assert str(err.value) == message
 
 
 def test_import_aifv2_pinned():
