@@ -34,7 +34,11 @@ extended to several symbols per lookup.
   ``_RUN_BITS``-bit peek, the run of symbols the peek decides, and on
   a later visit emits the whole run at once.  On a skewed source,
   where most symbols cost 0 or 1 bits, one lookup emits about ten
-  symbols.  Every tree gets run slots; on a tree none of whose
+  symbols.  A new peek's run is its first symbol joined to the run of
+  the peek bits that symbol leaves, read from its successor; these
+  suffix runs are memoized per tree and bits, so peeks that end alike
+  share them, and a set met for the first time fills its run slots in
+  fewer walks.  Every tree gets run slots; on a tree none of whose
   expanded words fits in the peek, every peek stores the empty run,
   so its symbols keep the walk.
 - From tree k, four symbols fix one composite codeword and the tree
@@ -47,10 +51,10 @@ extended to several symbols per lookup.
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
 successor's mode members as (length, value) pairs).  The validator
-reads the same rows.  ``reach``, the decoder's run slots and the
-encoder's block slots are the codec's own cache, kept in the set's
-``_codec`` slot and built on first use by either side; the slots are
-filled as the codec meets new peeks and blocks.
+reads the same rows.  ``reach``, the decoder's run slots and suffix
+runs and the encoder's block slots are the codec's own cache, kept in
+the set's ``_codec`` slot and built on first use by either side; they
+are filled as the codec meets new peeks, suffixes and blocks.
 """
 
 from __future__ import annotations
@@ -69,12 +73,14 @@ _RUN_BITS = 8
 
 
 def _tables(tree_set):
-    """The set's codec cache: ``(reach, runs, blocks)``.
+    """The set's codec cache: ``(reach, runs, blocks, suffixes)``.
 
     ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
     ``blocks[k][key]`` the encoder's block for four symbols packed into
     the byte ``key``, or None while unseen; ``blocks`` is None on
-    alphabets of more than four symbols.
+    alphabets of more than four symbols.  ``suffixes`` maps ``(k, n,
+    bits)`` to the decoder's run of n stream bits at tree k, holding
+    only the states met (see ``_suffix_run``).
     """
     if tree_set._codec is None:
         rows = tree_set.rows
@@ -83,8 +89,62 @@ def _tables(tree_set):
             max(clen + follow[-1][0]
                 for row in rows for _, clen, _, _, follow in row),
             [[None] * (1 << _RUN_BITS) for _ in rows],
-            [[None] * 256 for _ in rows] if len(rows[0]) <= 4 else None)
+            [[None] * 256 for _ in rows] if len(rows[0]) <= 4 else None,
+            {})
     return tree_set._codec
+
+
+def _suffix_run(rows, suffixes, k, n, bits):
+    """The run that ``n`` stream bits, the integer ``bits``, decide at tree k.
+
+    The run is ``(symbols, lookaheads, bits used, end tree)``: the
+    symbols decoded from tree k for as long as each codeword and its
+    lookahead end inside the bits.  ``suffixes`` memoizes it per
+    ``(tree, bit count, bits)``, and so every state the walk passes.
+    The walk is a loop, whatever K: it stops at a memoized state, at a
+    state where no symbol fits, or back at a state on its own path, a
+    cycle of empty codewords that never leaves the bits.  The states of
+    such a cycle keep the empty run, and a run that reaches one stops
+    there, so no run meets a state twice, and each holds at most K *
+    (n + 1) symbols.
+    """
+    path = []
+    key = (k, n, bits)
+    run = suffixes.get(key)
+    while run is None:
+        # on the path, a state holds its index there
+        suffixes[key] = len(path)
+        # the decoder's walk, over the n bits alone
+        for a, clen, cval, point, queries in rows[k]:
+            rest = n - clen
+            if rest < 0 or bits >> rest != cval:
+                continue
+            for qlen, qval in queries:
+                if qlen <= rest and \
+                        (bits >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
+                    break
+            else:
+                continue
+            break
+        else:
+            run = suffixes[key] = ((), (), 0, k)
+            break
+        path.append((key, a, clen, qlen))
+        k = point
+        n -= clen
+        bits &= (1 << n) - 1
+        key = (k, n, bits)
+        run = suffixes.get(key)
+    if type(run) is int:
+        # back on the path: the states from that index on are the cycle
+        for key, _, _, _ in path[run:]:
+            suffixes[key] = ((), (), 0, key[0])
+        del path[run:]
+        run = ((), (), 0, k)
+    for key, a, clen, qlen in reversed(path):
+        syms, las, used, end = run
+        run = suffixes[key] = ((a,) + syms, (qlen,) + las, clen + used, end)
+    return run
 
 
 def _spill(out, acc, acc_len):
@@ -239,19 +299,21 @@ def decode(tree_set, bits, length):
     step walks the tree's candidate rows and stops at the first
     confirmed match: the set is valid, so no later row can match too.
 
-    A peek met for the first time is recorded as the walk goes on: the
-    symbols decoded from there, for as long as each codeword and its
-    lookahead end inside the peek, become its run, stored when the
-    first symbol that reads past the peek is decoded.  A peek whose
-    first symbol already reads past it stores ``()``, so later visits
-    go straight to the walk.  Any stream that starts with the peek
-    decodes to the same run: mode members are tried shortest first, a
-    valid set lets at most one row be confirmed, and bits inside the
-    peek confirm it.  A run also ends after ``K * (_RUN_BITS + 1)``
-    symbols for K trees, since a longer one revisits a tree at one bit
-    position: a cycle of empty codewords, which would never leave the
-    peek.  Truncated and NoMatch come from the walk alone, so they
-    report the same symbol and bit as without runs.
+    A peek met for the first time shares the step's walk.  If the
+    symbol it confirms has its codeword and lookahead inside the peek,
+    the peek's run is that symbol joined to the suffix run of the peek
+    bits it leaves, read from its successor (``_suffix_run``);
+    otherwise the run is ``()``, so later visits go straight to the
+    walk.  The run is stored, and applied at once if it fits.  Any
+    stream that starts with the peek decodes to the same run: mode
+    members are tried shortest first, a valid set lets at most one row
+    be confirmed, and bits inside the peek confirm it, so a decision
+    made from the bits of a suffix is the one the whole window gives.
+    A run meets each (tree, bit count) state at most once, so it holds
+    at most ``K * (_RUN_BITS + 1)`` symbols for K trees; a cycle of
+    empty codewords, which would never leave the peek, ends it.
+    Truncated and NoMatch come from the walk alone, so they report the
+    same symbol and bit as without runs.
 
     Refills cost O(bits) in all.  A walk costs O(candidates) operations
     on a window of about ``_CHUNK_BITS + reach + _RUN_BITS`` bits, and
@@ -262,10 +324,9 @@ def decode(tree_set, bits, length):
         raise ValueError("symbol count must be non-negative")
     peek_bits = _RUN_BITS
     rows = tree_set.rows
-    reach, runs, _ = _tables(tree_set)
+    reach, runs, _, suffixes = _tables(tree_set)
     mask = (1 << peek_bits) - 1
     margin = reach + peek_bits
-    cap = len(rows) * (peek_bits + 1)
     total = bits.length
     data = (bits.value << (-total % 8)).to_bytes((total + 7) // 8, "big")
     win = 0
@@ -275,10 +336,6 @@ def decode(tree_set, bits, length):
     lookaheads = []
     k = 0
     i = 0
-    # recording the run of ``peek`` in ``rec``, the slots it goes to:
-    # it began at bit ``start`` and symbol ``head``, and ends with the
-    # first symbol that reads past bit ``end`` or at symbol ``stop``
-    rec = None
     while i < length:
         avail = wend - pos
         if avail < margin and wend < total:
@@ -287,57 +344,55 @@ def decode(tree_set, bits, length):
             last = (wend + 7) >> 3
             win = int.from_bytes(data[first:last], "big") >> (last * 8 - wend)
             avail = wend - pos
-        if rec is None and avail >= peek_bits:
+        run = ()
+        if avail >= peek_bits:
             peek = (win >> (avail - peek_bits)) & mask
             run = runs[k][peek]
-            if run is None:
-                rec = runs[k]
-                start = pos
-                end = pos + peek_bits
-                head = i
-                stop = i + cap
-            elif run:
-                syms, las, used, point = run
-                if len(syms) <= length - i:
-                    out += syms
-                    lookaheads += las
-                    i += len(syms)
-                    pos += used
-                    k = point
+        if not run or len(run[0]) > length - i:
+            for a, clen, cval, point, queries in rows[k]:
+                rest = avail - clen
+                if rest < 0 or (win >> rest) & ((1 << clen) - 1) != cval:
                     continue
-        for a, clen, cval, point, queries in rows[k]:
-            rest = avail - clen
-            if rest < 0 or (win >> rest) & ((1 << clen) - 1) != cval:
-                continue
-            for qlen, qval in queries:
-                if qlen <= rest and \
-                        (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
-                    break
-            else:
-                continue  # no mode member follows this codeword
-            break  # confirmed; on a valid set no other row matches
-        else:
-            suffix = win & ((1 << avail) - 1)
-            for _, clen, cval, _, queries in rows[k]:
                 for qlen, qval in queries:
-                    wlen = clen + qlen
-                    if wlen <= avail:
-                        continue
-                    word = (cval << qlen) | qval
-                    if (word >> (wlen - avail)) == suffix:
-                        raise Truncated(
-                            f"stream ends inside symbol {i} at bit {pos}",
-                            symbol_index=i, bit_position=pos)
-            raise NoMatch(
-                f"no symbol matches at bit {pos}",
-                symbol_index=i, bit_position=pos)
-        if rec is not None and (pos + clen + qlen > end or i == stop):
-            rec[peek] = (tuple(out[head:]), tuple(lookaheads[head:]),
-                         pos - start, k) if i > head else ()
-            rec = None
-        out.append(a)
-        lookaheads.append(qlen)
-        pos += clen
-        k = point
-        i += 1
+                    if qlen <= rest and \
+                            (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
+                        break
+                else:
+                    continue  # no mode member follows this codeword
+                break  # confirmed; on a valid set no other row matches
+            else:
+                suffix = win & ((1 << avail) - 1)
+                for _, clen, cval, _, queries in rows[k]:
+                    for qlen, qval in queries:
+                        wlen = clen + qlen
+                        if wlen <= avail:
+                            continue
+                        word = (cval << qlen) | qval
+                        if (word >> (wlen - avail)) == suffix:
+                            raise Truncated(
+                                f"stream ends inside symbol {i} at bit {pos}",
+                                symbol_index=i, bit_position=pos)
+                raise NoMatch(
+                    f"no symbol matches at bit {pos}",
+                    symbol_index=i, bit_position=pos)
+            if run is None:
+                rest = peek_bits - clen
+                run = ()
+                if qlen <= rest:
+                    syms, las, used, end = _suffix_run(
+                        rows, suffixes, point, rest, peek & ((1 << rest) - 1))
+                    run = ((a,) + syms, (qlen,) + las, clen + used, end)
+                runs[k][peek] = run
+            if not run or len(run[0]) > length - i:
+                out.append(a)
+                lookaheads.append(qlen)
+                pos += clen
+                k = point
+                i += 1
+                continue
+        syms, las, used, k = run
+        out += syms
+        lookaheads += las
+        i += len(syms)
+        pos += used
     return DecodeTrace(out, lookaheads, pos)

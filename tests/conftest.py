@@ -249,6 +249,37 @@ def decode_oracle(tree_set, bits, length):
     return DecodeTrace(out, lookaheads, pos)
 
 
+def steps_inside(tree_set, k, bits):
+    """The decoding steps from tree k that stay inside ``bits``.
+
+    Starting at any tree, a plain per-symbol walk over the text of
+    ``bits`` yields ``(symbol, lookahead, codeword length, next tree)``
+    for as long as a symbol's codeword and then some member of its next
+    tree's mode lie inside the text; the shortest such member is the
+    lookahead.  It stops at the first step that would read past the
+    end.  A cycle of empty codewords never stops, so callers bound it.
+    """
+    text = bits.text()
+    modes = [sorted((q.text() for q in tree.mode), key=len)
+             for tree in tree_set.trees]
+    pos = 0
+    while True:
+        rest = text[pos:]
+        tree = tree_set.trees[k]
+        matches = [(a, w, point) for a, (w, point) in enumerate(
+                       zip((w.text() for w in tree.cwords), tree.points))
+                   if any(rest.startswith(w + q) for q in modes[point])]
+        # a valid set never lets two symbols match
+        assert len(matches) <= 1, f"{len(matches)} symbols match at bit {pos}"
+        if not matches:
+            return
+        a, w, point = matches[0]
+        q = next(q for q in modes[point] if rest.startswith(w + q))
+        yield a, len(q), len(w), point
+        pos += len(w)
+        k = point
+
+
 def symbol_text_oracle(text, names):
     """The ids ``cli._parse_symbol_text`` must return, or its error.
 

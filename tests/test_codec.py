@@ -16,7 +16,7 @@ from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
 from aifv import examples
 
 from conftest import (bits, decode_oracle, encode_oracle,
-                      imported_examples, random_valid_tree_set)
+                      imported_examples, random_valid_tree_set, steps_inside)
 
 SEED = 20240814
 
@@ -336,6 +336,89 @@ def test_cycles_of_empty_codewords_end():
         assert runs
         assert all(len(run[0]) <= ts.tree_count * (codec._RUN_BITS + 1)
                    for run in runs)
+
+
+def test_a_long_chain_of_empty_codewords_decodes():
+    # tree i reads no bits and hands over to tree i + 1, so the run of
+    # every peek passes all 3000 trees before a state repeats
+    count = 3000
+    ts = CodeTreeSet([tree([""], [("", (i + 1) % count)])
+                      for i in range(count)])
+    start = time.perf_counter()
+    trace = decode(ts, bits("0" * 16), 5000)
+    assert time.perf_counter() - start < 1.0
+    assert trace.symbols == (0,) * 5000
+    assert trace.bits_consumed == 0
+
+
+def check_run_cache(ts):
+    """Stored and memoized runs agree with a plain walk over their bits.
+
+    A stored run ``runs[k][peek]`` is keyed by (k, peek width, peek) and
+    a memoized suffix run by its own (tree, bit count, bits).  Each must
+    hold the symbols, lookaheads, bits used and end tree of the walk
+    from its tree over its bits.  Where the walk's next symbol still
+    ends inside the bits, the run must have stopped at a (tree, bit
+    count) state that the walk meets again: a cycle of empty codewords.
+    """
+    width = codec._RUN_BITS
+    _, runs, _, suffixes = ts._codec
+    cached = [((k, width, peek), run) for k, slots in enumerate(runs)
+              for peek, run in enumerate(slots) if run is not None]
+    cached += suffixes.items()
+    for (k, n, value), run in cached:
+        syms, las, used, end = run or ((), (), 0, k)
+        walk = steps_inside(ts, k, BitString(value, n))
+        steps = list(itertools.islice(walk, len(syms)))
+        assert tuple(a for a, _, _, _ in steps) == syms, (k, n, value)
+        assert tuple(q for _, q, _, _ in steps) == las
+        assert sum(clen for _, _, clen, _ in steps) == used
+        assert (steps[-1][3] if steps else k) == end
+        # the walk goes on past the run only around a cycle, which comes
+        # back to the (tree, bits left) state the run ended at
+        left = n - used
+        later = []
+        for _, _, clen, point in itertools.islice(
+                walk, ts.tree_count * (n + 1)):
+            left -= clen
+            later.append((point, left))
+        assert not later or (end, n - used) in later, (k, n, value)
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_run_cache_matches_a_plain_walk(rng):
+    pick = rng.random()
+    if pick < 0.2:
+        ts = examples.skewed_delay3_set()
+    elif pick < 0.4:
+        # one symbol per tree under the mode {''}, and a path of trees
+        # that ends in a loop: where the loop's codewords are all empty,
+        # it is a cycle that never leaves the bits
+        count = rng.randint(1, 5)
+        ts = CodeTreeSet([tree([""], [(rng.choice(["", "", "0", "10"]),
+                                       i + 1 if i + 1 < count
+                                       else rng.randrange(count))])
+                          for i in range(count)])
+    else:
+        ts = random_valid_tree_set(rng)
+    msg = [rng.randrange(ts.symbol_count) for _ in range(rng.randint(0, 60))]
+    clean = encode(ts, msg).bits
+    flipped = clean
+    for _ in range(rng.randint(1, 3) if clean.length else 0):
+        flipped = BitString(flipped.value ^ (1 << rng.randrange(clean.length)),
+                            clean.length)
+    n = rng.randint(0, 200)
+    streams = [clean, flipped, clean.prefix(rng.randint(0, clean.length)),
+               BitString(rng.getrandbits(n) if n else 0, n)]
+    # each peek width gets a fresh set: the run table is cached on it
+    for width in (1, 3, 8, 16):
+        fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_RUN_BITS", width)
+            for stream in streams:
+                decode_outcome(decode, fresh, stream, len(msg) + 1)
+            check_run_cache(fresh)
 
 
 def test_run_table_is_bounded():
