@@ -14,7 +14,9 @@ matches and some member of Mode_{Point_k(a)} follows it.  Only the
 codeword is consumed; the matched mode member is lookahead and stays
 in the stream.  On a valid set exactly one symbol can ever match, so
 the decoder commits to the first one it confirms, and the lookahead
-never exceeds the set's decoding delay.
+never exceeds the set's decoding delay.  One function, ``_confirm``,
+makes that step over a tree's rows, for the decoder's window and for
+the run builder's peek bits alike.
 
 No decision looks further than ``reach`` bits past the current
 position: the longest expanded codeword of the set.
@@ -36,11 +38,11 @@ extended to several symbols per lookup.
   where most symbols cost 0 or 1 bits, one lookup emits about ten
   symbols.  A new peek's run is its first symbol joined to the run of
   the peek bits that symbol leaves, read from its successor; these
-  suffix runs are memoized per tree and bits, so peeks that end alike
-  share them, and a set met for the first time fills its run slots in
-  fewer walks.  Every tree gets run slots; on a tree none of whose
-  expanded words fits in the peek, every peek stores the empty run,
-  so its symbols keep the walk.
+  suffix runs are built by the same step and memoized per tree and
+  bits, so peeks that end alike share them, and a set met for the
+  first time fills its run slots in fewer walks.  Every tree gets run
+  slots; on a tree none of whose expanded words fits in the peek,
+  every peek stores the empty run, so its symbols keep the walk.
 - From tree k, four symbols fix one composite codeword and the tree
   they end in: a block of the set's 4-symbol extension, a
   variable-to-variable code with a fixed parse.  On an alphabet of at
@@ -94,6 +96,28 @@ def _tables(tree_set):
     return tree_set._codec
 
 
+def _confirm(row, n, bits):
+    """The symbol that the last ``n`` bits of ``bits`` confirm at a tree.
+
+    ``row`` is that tree's rows, ``rows[k]``.  Returns ``(symbol,
+    codeword length, successor, lookahead)`` for the first row whose
+    codeword and then a member of its successor's mode lie in those
+    bits, the shortest such member being the lookahead, or None if no
+    row is confirmed.  Bits above the last ``n`` are ignored, so the
+    decoder's window needs no mask.  On a valid set no later row can be
+    confirmed too.
+    """
+    for a, clen, cval, point, queries in row:
+        rest = n - clen
+        if rest < 0 or (bits >> rest) & ((1 << clen) - 1) != cval:
+            continue
+        for qlen, qval in queries:
+            if qlen <= rest and \
+                    (bits >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
+                return a, clen, point, qlen
+    return None
+
+
 def _suffix_run(rows, suffixes, k, n, bits):
     """The run that ``n`` stream bits, the integer ``bits``, decide at tree k.
 
@@ -114,21 +138,12 @@ def _suffix_run(rows, suffixes, k, n, bits):
     while run is None:
         # on the path, a state holds its index there
         suffixes[key] = len(path)
-        # the decoder's walk, over the n bits alone
-        for a, clen, cval, point, queries in rows[k]:
-            rest = n - clen
-            if rest < 0 or bits >> rest != cval:
-                continue
-            for qlen, qval in queries:
-                if qlen <= rest and \
-                        (bits >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
-                    break
-            else:
-                continue
-            break
-        else:
+        # the step decode takes, over these n bits alone
+        step = _confirm(rows[k], n, bits)
+        if step is None:
             run = suffixes[key] = ((), (), 0, k)
             break
+        a, clen, point, qlen = step
         path.append((key, a, clen, qlen))
         k = point
         n -= clen
@@ -296,8 +311,10 @@ def decode(tree_set, bits, length):
     them and looks the peek up in the current tree's run slots.  A
     stored run that fits in the symbols still wanted is applied at
     once: its symbols, lookaheads, bits and final tree.  Otherwise the
-    step walks the tree's candidate rows and stops at the first
-    confirmed match: the set is valid, so no later row can match too.
+    step confirms one symbol with ``_confirm`` over the bits left in
+    the window, ``avail`` of them past the current position; the bits
+    of ``win`` before the position are already consumed, and
+    ``_confirm`` ignores them.
 
     A peek met for the first time shares the step's walk.  If the
     symbol it confirms has its codeword and lookahead inside the peek,
@@ -349,18 +366,8 @@ def decode(tree_set, bits, length):
             peek = (win >> (avail - peek_bits)) & mask
             run = runs[k][peek]
         if not run or len(run[0]) > length - i:
-            for a, clen, cval, point, queries in rows[k]:
-                rest = avail - clen
-                if rest < 0 or (win >> rest) & ((1 << clen) - 1) != cval:
-                    continue
-                for qlen, qval in queries:
-                    if qlen <= rest and \
-                            (win >> (rest - qlen)) & ((1 << qlen) - 1) == qval:
-                        break
-                else:
-                    continue  # no mode member follows this codeword
-                break  # confirmed; on a valid set no other row matches
-            else:
+            step = _confirm(rows[k], avail, win)
+            if step is None:
                 suffix = win & ((1 << avail) - 1)
                 for _, clen, cval, _, queries in rows[k]:
                     for qlen, qval in queries:
@@ -375,6 +382,7 @@ def decode(tree_set, bits, length):
                 raise NoMatch(
                     f"no symbol matches at bit {pos}",
                     symbol_index=i, bit_position=pos)
+            a, clen, point, qlen = step
             if run is None:
                 rest = peek_bits - clen
                 run = ()

@@ -40,22 +40,21 @@ class SymbolOutOfRange(AifvError):
     """A source symbol id is not in 0..M-1."""
 
 
-class NoMatch(AifvError):
+class _StreamError(AifvError):
+    """A decode that stopped: at which symbol and stream bit."""
+
+    def __init__(self, message, symbol_index=None, bit_position=None):
+        super().__init__(message)
+        self.symbol_index = symbol_index
+        self.bit_position = bit_position
+
+
+class NoMatch(_StreamError):
     """The decoder found no symbol consistent with the bit stream."""
 
-    def __init__(self, message, symbol_index=None, bit_position=None):
-        super().__init__(message)
-        self.symbol_index = symbol_index
-        self.bit_position = bit_position
 
-
-class Truncated(AifvError):
+class Truncated(_StreamError):
     """The bit stream ended before a symbol could be confirmed."""
-
-    def __init__(self, message, symbol_index=None, bit_position=None):
-        super().__init__(message)
-        self.symbol_index = symbol_index
-        self.bit_position = bit_position
 
 
 class NormalizationFailed(AifvError):
