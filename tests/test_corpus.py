@@ -3,10 +3,13 @@
 Each ``cli.main`` invocation below runs in-process over fixed inputs:
 the four example sets, the three imported conventional codes, the two
 VV conversions, two broken sets and ``random_valid_tree_set`` sets of
-2 to 256 symbols.  Its argv, exit code, stdout, stderr and the bytes of
-any output file are hashed into one SHA-256 per command group and
-compared with ``cli_corpus.json``.  So a change that keeps the digests
-keeps every output of the corpus byte-identical.
+2 to 256 symbols, checked with ``validate --delay`` at budgets around
+their longest mode member; then ``import`` and ``convert-vv`` on the
+package's conventional codes and VV tables and on documents they
+refuse.  Its argv, exit code, stdout, stderr and the bytes of any
+output file are hashed into one SHA-256 per command group and compared
+with ``cli_corpus.json``.  So a change that keeps the digests keeps
+every output of the corpus byte-identical.
 
 Regenerate the file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_corpus.py``.
@@ -30,7 +33,8 @@ from conftest import imported_examples, random_valid_tree_set
 
 PINNED = Path(__file__).with_name("cli_corpus.json")
 
-GROUPS = ("validate", "delay", "reduce", "encode", "decode")
+GROUPS = ("validate", "delay", "reduce", "encode", "decode",
+          "validate-delay", "import", "convert-vv")
 
 
 def corpus_docs():
@@ -124,28 +128,118 @@ def invocations(name, doc, rng):
                          "--length", str(length)], None
 
 
+def budget_invocations(name, doc):
+    """Yield ``validate --delay`` runs for one set, as text and as JSON.
+
+    The budgets are one bit below, at and one bit above the set's
+    longest mode member.
+    """
+    longest = max(len(q) for tree in doc["trees"] for q in tree["mode"])
+    for bits in (longest - 1, longest, longest + 1):
+        argv = ["validate", f"{name}.json", "--delay", str(bits)]
+        yield "validate-delay", argv, None
+        yield "validate-delay", argv + ["--json"], None
+
+
+def conversion_inputs():
+    """``(group, name, document, accepted)`` for every conversion input."""
+    duplicate = examples.quaternary_aifv2_doc()
+    duplicate["symbols"] = ["a", "a", "c", "d"]
+    two_spellings = examples.tunstall_vv_doc()
+    two_spellings["states"]["a a"] = {"lcword": "1", "follow": ["0"]}
+    return [
+        ("import", "quaternary_aifv2", examples.quaternary_aifv2_doc(), True),
+        ("import", "quaternary_aifv3", examples.quaternary_aifv3_doc(), True),
+        ("import", "skewed_aifv3", examples.skewed_aifv3_doc(), True),
+        ("import", "duplicate_names", duplicate, False),
+        ("import", "shared_node", {
+            "kind": "aifv2", "symbols": ["a", "b", "c", "d"],
+            "trees": [{"codewords": ["1", "1", "1100", "0110"]},
+                      {"codewords": ["1001", "0", "0", "0100"]}]}, False),
+        # five violations, of which the refusal names the first three
+        ("import", "undecodable", {
+            "kind": "aifvm", "m": 2, "convention": "degree",
+            "symbols": ["a", "b", "c", "d"],
+            "trees": [{"codewords": ["010", "1", "10", "00"]},
+                      {"codewords": ["01", "011", "11", "0"]}]}, False),
+        ("convert-vv", "pair_huffman_vv", examples.pair_huffman_vv_doc(),
+         True),
+        ("convert-vv", "tunstall_vv", examples.tunstall_vv_doc(), True),
+        ("convert-vv", "two_spellings", two_spellings, False),
+        # raise/lower rewriting that never settles
+        ("convert-vv", "cycle", {
+            "depth": 4, "symbols": ["a", "b"],
+            "states": {"": {"lcword": "", "follow": [""]},
+                       "a": {"lcword": "01", "follow": [""]},
+                       "aa": {"lcword": "0", "follow": ["1"]},
+                       "aaa": {"lcword": "0", "follow": ["0"]}},
+            "blocks": {"aaaa": "000", "aaab": "001", "aab": "010",
+                       "ab": "011", "b": "1"}}, False),
+        # normalized tables that fail one and two coverage checks
+        ("convert-vv", "lowered_parent", {
+            "depth": 3, "symbols": ["a", "b"],
+            "states": {"": {"lcword": "", "follow": [""]},
+                       "a": {"lcword": "00", "follow": ["0", "1"]},
+                       "ab": {"lcword": "0", "follow": ["1"]}},
+            "blocks": {"aa": "000", "aba": "010", "abb": "011",
+                       "b": "1"}}, False),
+        ("convert-vv", "lowered_twice", {
+            "depth": 3, "symbols": ["a", "b"],
+            "states": {"": {"lcword": "", "follow": [""]},
+                       "a": {"lcword": "000", "follow": [""]},
+                       "aa": {"lcword": "0", "follow": ["1"]}},
+            "blocks": {"aaa": "010", "aab": "011", "ab": "00",
+                       "b": "1"}}, False),
+    ]
+
+
+def conversion_invocations():
+    """Yield the ``import`` and ``convert-vv`` runs.
+
+    An accepted input is converted once to stdout and once to a file.
+    """
+    for group, name, doc, accepted in conversion_inputs():
+        src = f"{name}.in.json"
+        Path(src).write_text(dumps_document(doc), encoding="utf-8")
+        yield group, [group, src], None
+        if accepted:
+            yield group, [group, src, "--output", f"{name}.out.json"], \
+                f"{name}.out.json"
+    yield "import", ["import", "quaternary_aifv3.in.json",
+                     "--kind", "aifv2"], None
+
+
+def all_invocations():
+    """Every run of the corpus, in order."""
+    rng = random.Random(5)
+    docs = corpus_docs()
+    for name, doc in docs:
+        yield from invocations(name, doc, rng)
+    for name, doc in docs:
+        yield from budget_invocations(name, doc)
+    yield from conversion_invocations()
+
+
 def run_corpus():
     """The digest of each command group over the whole corpus."""
     digests = {group: hashlib.sha256() for group in GROUPS}
-    rng = random.Random(5)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, doc in corpus_docs():
-                for group, argv, path in invocations(name, doc, rng):
-                    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
-                                           newline="\n")
-                    err = io.StringIO()
-                    with contextlib.redirect_stdout(out), \
-                            contextlib.redirect_stderr(err):
-                        code = main(argv)
-                    out.flush()
-                    written = Path(path).read_bytes() \
-                        if path and Path(path).exists() else None
-                    record = (argv, code, out.buffer.getvalue(),
-                              err.getvalue(), written)
-                    digests[group].update(repr(record).encode() + b"\n")
+            for group, argv, path in all_invocations():
+                out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                       newline="\n")
+                err = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                out.flush()
+                written = Path(path).read_bytes() \
+                    if path and Path(path).exists() else None
+                record = (argv, code, out.buffer.getvalue(),
+                          err.getvalue(), written)
+                digests[group].update(repr(record).encode() + b"\n")
         finally:
             os.chdir(cwd)
     return {group: h.hexdigest() for group, h in digests.items()}
