@@ -121,11 +121,6 @@ def _parse_symbol_text(text, tree_set):
         raise FormatError(f"unknown symbol {exc.args[0]!r}") from None
 
 
-def _violation_dict(v):
-    return {"rule": v.rule, "tree": v.tree, "symbols": list(v.symbols),
-            "words": list(v.words), "message": v.message}
-
-
 def _cmd_validate(args):
     tree_set = _load_tree_set(args.trees)
     methods = ["direct", "interval"] if args.method == "both" \
@@ -140,7 +135,7 @@ def _cmd_validate(args):
         budget_ok = check_delay_budget(tree_set, args.delay)
     if args.json:
         out = {"method": args.method, "ok": report.ok,
-               "violations": [_violation_dict(v) for v in report.violations]}
+               "violations": [v._asdict() for v in report.violations]}
         if args.delay is not None:
             out["delay_budget"] = {"bits": args.delay, "ok": budget_ok}
         print(dumps_document(out), end="")

@@ -57,9 +57,16 @@ reads the same rows.  ``reach``, the decoder's run slots and suffix
 runs and the encoder's block slots are the codec's own cache, kept in
 the set's ``_codec`` slot and built on first use by either side; they
 are filled as the codec meets new peeks, suffixes and blocks.
+
+Both sides return named tuples: ``encode`` an ``EncodeResult(bits,
+body_len, final_tree, termination)``, whose ``body`` is the first
+``body_len`` bits, and ``decode`` a ``DecodeTrace(symbols,
+per_symbol_lookahead, bits_consumed)``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .bitstring import BitString
 from .errors import NoMatch, SymbolOutOfRange, Truncated
@@ -169,24 +176,17 @@ def _spill(out, acc, acc_len):
     return acc & ((1 << spare) - 1), spare
 
 
-class EncodeResult:
+class EncodeResult(NamedTuple):
     """An encoded stream split into its body and termination parts."""
 
-    __slots__ = ("bits", "body_len", "final_tree", "termination")
-
-    def __init__(self, bits, body_len, final_tree, termination):
-        self.bits = bits
-        self.body_len = body_len
-        self.final_tree = final_tree
-        self.termination = termination
+    bits: BitString
+    body_len: int
+    final_tree: int
+    termination: BitString
 
     @property
     def body(self):
         return self.bits.prefix(self.body_len)
-
-    def __repr__(self):
-        return (f"EncodeResult(bits={self.bits.text()!r}, "
-                f"body_len={self.body_len}, final_tree={self.final_tree})")
 
 
 def _encode_body(tree_set, symbols):
@@ -266,19 +266,12 @@ def encode(tree_set, symbols):
     return EncodeResult(body + termination, body.length, k, termination)
 
 
-class DecodeTrace:
+class DecodeTrace(NamedTuple):
     """Decoded symbols plus the lookahead the decoder used for each."""
 
-    __slots__ = ("symbols", "per_symbol_lookahead", "bits_consumed")
-
-    def __init__(self, symbols, per_symbol_lookahead, bits_consumed):
-        self.symbols = tuple(symbols)
-        self.per_symbol_lookahead = tuple(per_symbol_lookahead)
-        self.bits_consumed = bits_consumed
-
-    def __repr__(self):
-        return (f"DecodeTrace(symbols={self.symbols}, "
-                f"per_symbol_lookahead={self.per_symbol_lookahead})")
+    symbols: tuple
+    per_symbol_lookahead: tuple
+    bits_consumed: int
 
 
 def max_realized_lookahead(trace):
@@ -403,4 +396,4 @@ def decode(tree_set, bits, length):
         lookaheads += las
         i += len(syms)
         pos += used
-    return DecodeTrace(out, lookaheads, pos)
+    return DecodeTrace(tuple(out), tuple(lookaheads), pos)

@@ -33,6 +33,10 @@ decoding delay.  The sweep runs on the set's integer rows
 "interval" compares both ends of their integer intervals on the inner
 word's scale, and the two methods agree on every input and produce
 identical reports.  The encoder and decoder read the same rows.
+
+A report is a named tuple, ``ValidationReport(method, violations,
+delay)``, that is ``ok`` when it holds no violations; each violation
+is a named tuple ``Violation(rule, tree, symbols, words, message)``.
 """
 
 from __future__ import annotations
@@ -142,9 +146,6 @@ class CodeTreeSet:
     def symbol_count(self):
         return len(self.symbols)
 
-    def symbol_name(self, a):
-        return self.symbols[a]
-
     def ensure_valid(self):
         """Validate on first use; raise Unvalidated if the set is broken."""
         report = self._reports.get("direct")
@@ -152,9 +153,8 @@ class CodeTreeSet:
             report = validate(self, "direct")
         if not report.ok:
             raise Unvalidated(
-                "code-tree set fails the decodability checks: "
-                + "; ".join(v.message for v in report.violations[:3]),
-                report=report)
+                _failure("code-tree set fails the decodability checks",
+                         report), report=report)
         return report
 
 
@@ -168,23 +168,21 @@ class Violation(NamedTuple):
     message: str
 
 
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """The outcome of one validation run; ``delay`` holds only if ok."""
 
-    __slots__ = ("method", "violations", "delay")
-
-    def __init__(self, method, violations, delay):
-        self.method = method
-        self.violations = tuple(violations)
-        self.delay = delay
+    method: str
+    violations: tuple         # Violation records, in report order
+    delay: int
 
     @property
     def ok(self):
         return not self.violations
 
-    def __repr__(self):
-        state = "ok" if self.ok else f"{len(self.violations)} violations"
-        return f"ValidationReport({self.method}, {state})"
+
+def _failure(head, report):
+    """A failed report's message: ``head``, then its first three violations."""
+    return f"{head}: " + "; ".join(v.message for v in report.violations[:3])
 
 
 def reachable_trees(tree_set):
@@ -252,6 +250,7 @@ def validate(tree_set, method="direct"):
                 f"tree {k} cannot be reached from tree 0"))
     delay = 0
     queries = tree_set.queries
+    names = tree_set.symbols
     for k, row in enumerate(tree_set.rows):
         # a symbol's expansions share its codeword, so they come in the
         # (length, value) order of its successor's mode members
@@ -291,7 +290,7 @@ def validate(tree_set, method="direct"):
         overlaps.sort()
         for a, b, i, j in overlaps:
             w1, w2 = pair_text(*exp[a][i]), pair_text(*exp[b][j])
-            na, nb = tree_set.symbol_name(a), tree_set.symbol_name(b)
+            na, nb = names[a], names[b]
             violations.append(Violation(
                 "overlap", k, (na, nb), (w1, w2),
                 f"tree {k}: expanded codewords {w1!r} ({na}) and "
@@ -299,12 +298,12 @@ def validate(tree_set, method="direct"):
         uncovered.sort()
         for a, i in uncovered:
             w = pair_text(*exp[a][i])
-            na = tree_set.symbol_name(a)
+            na = names[a]
             violations.append(Violation(
                 "coverage", k, (na,), (w,),
                 f"tree {k}: expanded codeword {w!r} ({na}) "
                 f"has no prefix in the tree's mode"))
-    report = ValidationReport(method, violations, delay)
+    report = ValidationReport(method, tuple(violations), delay)
     tree_set._reports[method] = report
     return report
 

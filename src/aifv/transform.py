@@ -34,7 +34,7 @@ import itertools
 from .bitstring import (EMPTY, BitString, is_prefix,
                         longest_common_prefix, strip_prefix)
 from .codec import encode
-from .codetree import CodeTree, CodeTreeSet, validate
+from .codetree import CodeTree, CodeTreeSet, _failure, validate
 from .errors import DepthExceeded, NormalizationFailed, StructureViolation
 from .wordset import common_prefix, reduce as reduce_words, to_basic_mode
 
@@ -253,8 +253,7 @@ def vv_to_tree_set(table):
     report = validate(result)
     if not report.ok:
         raise NormalizationFailed(
-            "normalized table is not decodable: "
-            + "; ".join(v.message for v in report.violations[:3]))
+            _failure("normalized table is not decodable", report))
     return result
 
 
@@ -325,8 +324,7 @@ def _assemble(conventional, points_per_tree, n_bits, symbols):
     report = validate(result)
     if not report.ok:
         raise StructureViolation(
-            "imported trees are not decodable: "
-            + "; ".join(v.message for v in report.violations[:3]))
+            _failure("imported trees are not decodable", report))
     return result
 
 

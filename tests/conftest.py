@@ -246,7 +246,7 @@ def decode_oracle(tree_set, bits, length):
         lookaheads.append(len(q))
         pos += len(cwords[k][a])
         k = tree_set.trees[k].points[a]
-    return DecodeTrace(out, lookaheads, pos)
+    return DecodeTrace(tuple(out), tuple(lookaheads), pos)
 
 
 def steps_inside(tree_set, k, bits):

@@ -30,6 +30,13 @@ def test_construction_and_text():
     assert len(bits("0010")) == 4
 
 
+def test_str_is_the_text_and_only_bit_strings_add():
+    assert str(bits("0010")) == "0010"
+    assert str(BitString()) == ""
+    with pytest.raises(TypeError):
+        bits("01") + 1
+
+
 def test_construction_rejects_out_of_range():
     with pytest.raises(ValueError):
         BitString(4, 2)

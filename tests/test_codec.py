@@ -41,6 +41,23 @@ def test_golden_encode():
     assert result.termination == bits("1")
 
 
+def test_results_are_records_of_their_fields():
+    ts = examples.binary_delay3_set()
+    result = encode(ts, [0, 1, 1, 0, 0])
+    stream, body_len, final_tree, termination = result
+    assert (stream, body_len, final_tree, termination) == \
+        (bits("10011"), 4, 4, bits("1"))
+    assert result.body == stream.prefix(body_len) == bits("1001")
+    assert result == encode(ts, [0, 1, 1, 0, 0])
+    trace = decode(ts, stream, 5)
+    symbols, lookaheads, consumed = trace
+    assert (symbols, lookaheads, consumed) == \
+        ((0, 1, 1, 0, 0), (1, 3, 0, 1, 1), 4)
+    # two decodes of one stream are equal records, not two objects
+    assert trace == decode(ts, stream, 5)
+    assert trace != decode(ts, stream, 4)
+
+
 def test_encode_result_invariant():
     rng = random.Random(SEED)
     for _ in range(50):

@@ -69,7 +69,7 @@ def test_constructor_checks():
 def test_default_symbol_names():
     ts = examples.binary_delay3_set()
     assert ts.symbols == ("a", "b")
-    assert ts.symbol_name(1) == "b"
+    assert ts.symbols[1] == "b"
     many = CodeTreeSet([CodeTree([bits("")] * 30, [0] * 30, [bits("")])])
     assert many.symbols[0] == "a"
     assert many.symbols[25] == "z"
@@ -134,6 +134,20 @@ def test_unvalidated_carries_report():
         encode(ts, [0])
     assert err.value.report is not None
     assert not err.value.report.ok
+
+
+def test_reports_are_records_of_their_fields():
+    ts = broken_variant()
+    report = validate(ts)
+    method, violations, delay = report
+    assert method == "direct" and type(violations) is tuple
+    assert [v.rule for v in violations] == ["overlap", "coverage"]
+    assert report == validate(ts)
+    # ok means no violations, whatever the delay
+    assert not report.ok
+    assert report._replace(violations=()).ok
+    valid = validate(examples.binary_delay3_set(), "interval")
+    assert valid.ok and tuple(valid) == ("interval", (), 3)
 
 
 def test_methods_agree_on_random_mutations():
