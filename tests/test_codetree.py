@@ -139,7 +139,7 @@ def test_unvalidated_carries_report():
 def test_reports_are_records_of_their_fields():
     ts = broken_variant()
     report = validate(ts)
-    method, violations, delay = report
+    method, violations, _ = report
     assert method == "direct" and type(violations) is tuple
     assert [v.rule for v in violations] == ["overlap", "coverage"]
     assert report == validate(ts)
