@@ -40,9 +40,10 @@ extended to several symbols per lookup.
   the peek bits that symbol leaves, read from its successor; these
   suffix runs are built by the same step and memoized per tree and
   bits, so peeks that end alike share them, and a set met for the
-  first time fills its run slots in fewer walks.  Every tree gets run
-  slots; on a tree none of whose expanded words fits in the peek,
-  every peek stores the empty run, so its symbols keep the walk.
+  first time fills its run slots in fewer walks.  A tree gets its own
+  run slots when its first run is stored; on a tree none of whose
+  expanded words fits in the peek, every peek stores the empty run, so
+  its symbols keep the walk.
 - From tree k, four symbols fix one composite codeword and the tree
   they end in: a block of the set's 4-symbol extension, a
   variable-to-variable code with a fixed parse.  On an alphabet of at
@@ -86,10 +87,13 @@ def _tables(tree_set):
 
     ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
     ``blocks[k][key]`` the encoder's block for four symbols packed into
-    the byte ``key``, or None while unseen; ``blocks`` is None on
-    alphabets of more than four symbols.  ``suffixes`` maps ``(k, n,
-    bits)`` to the decoder's run of n stream bits at tree k, holding
-    only the states met (see ``_suffix_run``).
+    the byte ``key``, or None while unseen.  Every tree's run slots, and
+    likewise its block slots, start as one all-None tuple shared by the
+    set's trees; a tree gets its own list at its first stored run or
+    block, so a set of many trees pays only for the trees met.
+    ``blocks`` is None on alphabets of more than four symbols.
+    ``suffixes`` maps ``(k, n, bits)`` to the decoder's run of n stream
+    bits at tree k, holding only the states met (see ``_suffix_run``).
     """
     if tree_set._codec is None:
         rows = tree_set.rows
@@ -97,8 +101,8 @@ def _tables(tree_set):
             # follow[-1] is the successor's longest mode member
             max(clen + follow[-1][0]
                 for row in rows for _, clen, _, _, follow in row),
-            [[None] * (1 << _RUN_BITS) for _ in rows],
-            [[None] * 256 for _ in rows] if len(rows[0]) <= 4 else None,
+            [(None,) * (1 << _RUN_BITS)] * len(rows),
+            [(None,) * 256] * len(rows) if len(rows[0]) <= 4 else None,
             {})
     return tree_set._codec
 
@@ -235,6 +239,8 @@ def _encode_body(tree_set, symbols):
                     _, l1, v1, point, _ = rows[point][key >> 2 & 3]
                     _, l2, v2, point, _ = rows[point][key >> 4 & 3]
                     _, l3, v3, point, _ = rows[point][key >> 6]
+                    if type(blocks[k]) is tuple:
+                        blocks[k] = [None] * 256
                     block = blocks[k][key] = (
                         l0 + l1 + l2 + l3,
                         ((v0 << l1 | v1) << l2 | v2) << l3 | v3, point)
@@ -383,6 +389,8 @@ def decode(tree_set, bits, length):
                     syms, las, used, end = _suffix_run(
                         rows, suffixes, point, rest, peek & ((1 << rest) - 1))
                     run = ((a,) + syms, (qlen,) + las, clen + used, end)
+                if type(runs[k]) is tuple:
+                    runs[k] = [None] * (1 << peek_bits)
                 runs[k][peek] = run
             if not run or len(run[0]) > length - i:
                 out.append(a)
