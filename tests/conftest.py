@@ -430,6 +430,30 @@ def stationary_oracle(matrix):
     return pi
 
 
+def mc_oracle(tree_set, dist, n_symbols, seed=0):
+    """The rate ``monte_carlo_rate`` must return, one symbol at a time.
+
+    The same draws, 2**16 symbols per ``rng.choice`` call as in the
+    library, are walked through the trees' codewords and successors,
+    adding each codeword's length, and the total is divided by the
+    sample size.
+    """
+    import numpy as np
+    block = 1 << 16
+    if n_symbols == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    trees = tree_set.trees
+    total = 0
+    k = 0
+    for start in range(0, n_symbols, block):
+        size = min(block, n_symbols - start)
+        for x in rng.choice(len(dist), size=size, p=dist).tolist():
+            total += trees[k].cwords[x].length
+            k = trees[k].points[x]
+    return total / n_symbols
+
+
 def infer_modes_oracle(tables, n_bits):
     """The modes ``transform._infer_modes`` must infer, by a full walk.
 

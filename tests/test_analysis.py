@@ -15,7 +15,8 @@ from aifv.formats import parse_conventional
 from aifv.transform import import_aifvm
 from aifv import examples
 
-from conftest import bits, closed_classes_oracle, stationary_oracle
+from conftest import (bits, closed_classes_oracle, mc_oracle,
+                      random_valid_tree_set, stationary_oracle)
 
 UNIFORM2 = [0.5, 0.5]
 
@@ -281,6 +282,57 @@ def test_monte_carlo_block_size_does_not_change_rate(monkeypatch):
     for block in (1, 7):
         monkeypatch.setattr(analysis, "MC_BLOCK", block)
         assert monte_carlo_rate(sk, dist, 3000, seed=7) == rate
+
+
+def test_monte_carlo_chunk_size_does_not_change_rate(monkeypatch):
+    # 3001 symbols leave a tail after the chunks of every block but the
+    # 1-symbol chunks; blocks of 7 and 100 are no multiple of 3 or 32
+    sk = examples.skewed_delay3_set()
+    dist = examples.skewed_distribution()
+    rate = mc_oracle(sk, dist, 3001, seed=7)
+    for chunk in (1, 3, 32):
+        for block in (7, 100, analysis.MC_BLOCK):
+            monkeypatch.setattr(analysis, "MC_CHUNK", chunk)
+            monkeypatch.setattr(analysis, "MC_BLOCK", block)
+            assert monte_carlo_rate(sk, dist, 3001, seed=7) == rate, \
+                (chunk, block)
+
+
+MC_SIZES = [0, 1, 31, 32, 33, 1000,
+            analysis.MC_BLOCK - 1, analysis.MC_BLOCK, analysis.MC_BLOCK + 1]
+
+
+def mc_case(rng):
+    """A valid set and a distribution over its alphabet.
+
+    One case in four is a set of one tree, one in eight the three trees
+    of a chain that leaves tree 0 for one of two closed classes, which
+    charge different lengths, and one in eight a set of up to 12 trees.
+    """
+    pick = rng.random()
+    if pick < 0.125:
+        # tree 0 is transient: its first symbol decides the class
+        ts = CodeTreeSet([
+            CodeTree([bits("0"), bits("1")], [1, 2], [bits("")]),
+            CodeTree([bits("0"), bits("1")], [1, 1], [bits("")]),
+            CodeTree([bits("00"), bits("01")], [2, 2], [bits("")])])
+    else:
+        m = rng.choice([1, 2, 3, 4, 8, rng.randint(1, 256)])
+        max_trees = 1 if pick < 0.375 else 12 if pick < 0.5 else 6
+        ts = random_valid_tree_set(rng, max_trees=max_trees, symbol_count=m)
+    weights = [rng.randint(0, 9) for _ in range(ts.symbol_count)]
+    weights[rng.randrange(len(weights))] += 1
+    return ts, [w / sum(weights) for w in weights]
+
+
+@pytest.mark.parametrize("n", MC_SIZES)
+@settings(deadline=None, max_examples=20)
+@given(st.randoms(use_true_random=False))
+def test_monte_carlo_matches_per_symbol_walk(n, rng):
+    ts, dist = mc_case(rng)
+    seed = rng.randrange(1000)
+    assert monte_carlo_rate(ts, dist, n, seed=seed) \
+        == mc_oracle(ts, dist, n, seed=seed)
 
 
 def test_monte_carlo_exact_on_constant_length_code():

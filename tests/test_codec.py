@@ -4,6 +4,7 @@ import array
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,6 +373,37 @@ def test_a_long_chain_of_empty_codewords_decodes():
     assert time.perf_counter() - start < 1.0
     assert trace.symbols == (0,) * 5000
     assert trace.bits_consumed == 0
+
+
+def test_codec_slots_are_allocated_per_tree_on_first_store():
+    # the 3000 trees of the long chain share one all-None tuple of run
+    # slots and one of block slots; only the trees met get their own
+    count = 3000
+    ts = CodeTreeSet([tree([""], [("", (i + 1) % count)])
+                      for i in range(count)])
+    tracemalloc.start()
+    try:
+        _, runs, blocks, _ = codec._tables(ts)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 1 << 20
+    no_runs, no_blocks = runs[0], blocks[0]
+    assert all(slots is no_runs for slots in runs)
+    assert all(slots is no_blocks for slots in blocks)
+    assert decode(ts, bits("0" * 16), 10).symbols == (0,) * 10
+    assert encode(ts, [0] * 8).bits == bits("")
+    assert no_runs == (None,) * (1 << codec._RUN_BITS)
+    assert no_blocks == (None,) * 256
+    own_runs = [slots for slots in runs if slots is not no_runs]
+    # a 10-symbol decode stores runs at no more than 10 trees, and two
+    # blocks of four symbols are stored at trees 0 and 4
+    assert 0 < len(own_runs) <= 10
+    assert all(type(slots) is list and len(slots) == 1 << codec._RUN_BITS
+               for slots in own_runs)
+    assert [k for k, slots in enumerate(blocks)
+            if slots is not no_blocks] == [0, 4]
+    assert type(blocks[0]) is list and len(blocks[0]) == 256
 
 
 def check_run_cache(ts):
