@@ -12,6 +12,7 @@ whose mode members exceed that many bits.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -268,7 +269,13 @@ def _cmd_delay(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``aifv`` argument parser, built once and shared by every call.
+
+    ``parse_args`` returns a fresh namespace each time and leaves the
+    parser as it was, so ``main`` can reuse it, refused argv included.
+    """
     parser = argparse.ArgumentParser(
         prog="aifv",
         description="Work with code-tree sets: validate, encode, decode, "

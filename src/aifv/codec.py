@@ -62,7 +62,9 @@ are filled as the codec meets new peeks, suffixes and blocks.
 Both sides return named tuples: ``encode`` an ``EncodeResult(bits,
 body_len, final_tree, termination)``, whose ``body`` is the first
 ``body_len`` bits, and ``decode`` a ``DecodeTrace(symbols,
-per_symbol_lookahead, bits_consumed)``.
+max_lookahead, bits_consumed)``.  The decoder keeps only the longest
+lookahead it used, the figure the paper bounds by the decoding delay: a
+run carries its own longest, so applying one costs one compare.
 """
 
 from __future__ import annotations
@@ -132,10 +134,11 @@ def _confirm(row, n, bits):
 def _suffix_run(rows, suffixes, k, n, bits):
     """The run that ``n`` stream bits, the integer ``bits``, decide at tree k.
 
-    The run is ``(symbols, lookaheads, bits used, end tree)``: the
-    symbols decoded from tree k for as long as each codeword and its
-    lookahead end inside the bits.  ``suffixes`` memoizes it per
-    ``(tree, bit count, bits)``, and so every state the walk passes.
+    The run is ``(symbols, longest lookahead, bits used, end tree)``:
+    the symbols decoded from tree k for as long as each codeword and its
+    lookahead end inside the bits, and the largest of their lookaheads,
+    0 for a run of no symbols.  ``suffixes`` memoizes it per ``(tree,
+    bit count, bits)``, and so every state the walk passes.
     The walk is a loop, whatever K: it stops at a memoized state, at a
     state where no symbol fits, or back at a state on its own path, a
     cycle of empty codewords that never leaves the bits.  The states of
@@ -152,7 +155,7 @@ def _suffix_run(rows, suffixes, k, n, bits):
         # the step decode takes, over these n bits alone
         step = _confirm(rows[k], n, bits)
         if step is None:
-            run = suffixes[key] = ((), (), 0, k)
+            run = suffixes[key] = ((), 0, 0, k)
             break
         a, clen, point, qlen = step
         path.append((key, a, clen, qlen))
@@ -164,12 +167,13 @@ def _suffix_run(rows, suffixes, k, n, bits):
     if type(run) is int:
         # back on the path: the states from that index on are the cycle
         for key, _, _, _ in path[run:]:
-            suffixes[key] = ((), (), 0, key[0])
+            suffixes[key] = ((), 0, 0, key[0])
         del path[run:]
-        run = ((), (), 0, k)
+        run = ((), 0, 0, k)
     for key, a, clen, qlen in reversed(path):
-        syms, las, used, end = run
-        run = suffixes[key] = ((a,) + syms, (qlen,) + las, clen + used, end)
+        syms, look, used, end = run
+        run = suffixes[key] = (
+            (a,) + syms, max(qlen, look), clen + used, end)
     return run
 
 
@@ -273,25 +277,30 @@ def encode(tree_set, symbols):
 
 
 class DecodeTrace(NamedTuple):
-    """Decoded symbols plus the lookahead the decoder used for each."""
+    """Decoded symbols, the longest lookahead used, and bits consumed.
+
+    ``max_lookahead`` is the largest number of bits the decoder read
+    past a codeword to confirm its symbol, 0 when no symbol was decoded;
+    on a valid set it never exceeds ``decoding_delay``.
+    """
 
     symbols: tuple
-    per_symbol_lookahead: tuple
+    max_lookahead: int
     bits_consumed: int
 
 
 def max_realized_lookahead(trace):
     """The largest lookahead used anywhere in a decode trace."""
-    return max(trace.per_symbol_lookahead, default=0)
+    return trace.max_lookahead
 
 
 def decode(tree_set, bits, length):
     """Decode exactly ``length`` symbols from a bit stream.
 
     Bits beyond what the last symbol needs are ignored; the trace
-    records how many were consumed.  Raises Truncated when the stream
-    stops in the middle of a decision and NoMatch when no symbol fits
-    the bits at all.
+    records how many were consumed, and the longest lookahead any
+    symbol used.  Raises Truncated when the stream stops in the middle
+    of a decision and NoMatch when no symbol fits the bits at all.
 
     The stream is packed once into left-aligned bytes, as in the binary
     container.  The window ``win`` holds the stream bits up to position
@@ -309,7 +318,8 @@ def decode(tree_set, bits, length):
     set.  A step that has ``_RUN_BITS`` bits in the window peeks at
     them and looks the peek up in the current tree's run slots.  A
     stored run that fits in the symbols still wanted is applied at
-    once: its symbols, lookaheads, bits and final tree.  Otherwise the
+    once: its symbols, bits and final tree, and its longest lookahead,
+    one compare against ``longest``, the decode's own.  Otherwise the
     step confirms one symbol with ``_confirm`` over the bits left in
     the window, ``avail`` of them past the current position; the bits
     of ``win`` before the position are already consumed, and
@@ -349,7 +359,7 @@ def decode(tree_set, bits, length):
     wend = 0
     pos = 0
     out = []
-    lookaheads = []
+    longest = 0
     k = 0
     i = 0
     while i < length:
@@ -386,22 +396,24 @@ def decode(tree_set, bits, length):
                 rest = peek_bits - clen
                 run = ()
                 if qlen <= rest:
-                    syms, las, used, end = _suffix_run(
+                    syms, look, used, end = _suffix_run(
                         rows, suffixes, point, rest, peek & ((1 << rest) - 1))
-                    run = ((a,) + syms, (qlen,) + las, clen + used, end)
+                    run = ((a,) + syms, max(qlen, look), clen + used, end)
                 if type(runs[k]) is tuple:
                     runs[k] = [None] * (1 << peek_bits)
                 runs[k][peek] = run
             if not run or len(run[0]) > length - i:
                 out.append(a)
-                lookaheads.append(qlen)
+                if qlen > longest:
+                    longest = qlen
                 pos += clen
                 k = point
                 i += 1
                 continue
-        syms, las, used, k = run
+        syms, look, used, k = run
         out += syms
-        lookaheads += las
+        if look > longest:
+            longest = look
         i += len(syms)
         pos += used
-    return DecodeTrace(tuple(out), tuple(lookaheads), pos)
+    return DecodeTrace(tuple(out), longest, pos)

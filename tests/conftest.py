@@ -213,7 +213,9 @@ def decode_oracle(tree_set, bits, length):
     symbol matches when its codeword and then some member of its next
     tree's mode start there, and the shortest such member is its
     lookahead.  With no match, the stream is truncated when what is
-    left is a proper prefix of some codeword + member.
+    left is a proper prefix of some codeword + member.  Each symbol's
+    lookahead is kept, and the trace holds the largest of them, 0 for
+    no symbols.
     """
     text = bits.text()
     cwords = [[w.text() for w in tree.cwords] for tree in tree_set.trees]
@@ -246,7 +248,7 @@ def decode_oracle(tree_set, bits, length):
         lookaheads.append(len(q))
         pos += len(cwords[k][a])
         k = tree_set.trees[k].points[a]
-    return DecodeTrace(tuple(out), tuple(lookaheads), pos)
+    return DecodeTrace(tuple(out), max(lookaheads, default=0), pos)
 
 
 def steps_inside(tree_set, k, bits):

@@ -14,7 +14,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aifv.cli import _WHITESPACE, _parse_symbol_text, main
+from aifv.cli import _WHITESPACE, _parse_symbol_text, build_parser, main
 from aifv.errors import FormatError
 from aifv.formats import (dumps_document, loads_document, parse_tree_set,
                           tree_set_to_doc)
@@ -610,6 +610,23 @@ def test_usage_and_io_failures(capsys, trees_path, tmp_path):
     not_json.write_text("hello\n")
     code, _, err = run(capsys, "validate", str(not_json))
     assert code == 2 and "error:" in err
+
+
+def test_one_parser_serves_every_call(capsys, trees_path):
+    assert build_parser() is build_parser()
+    good = ("decode", trees_path, "--bits", "10011", "--length", "5")
+    first = run(capsys, *good)
+    assert first == (0, "a b b a a\n", "")
+    # argparse refuses these inside parse_args; the shared parser must
+    # come out of each refusal as it went in, and refuse alike again
+    refusals = [run(capsys, *argv) for argv in 2 * [
+        ("frobnicate",),
+        ("decode", trees_path, "--bits", "10011", "--length", "x")]]
+    assert refusals[:2] == refusals[2:]
+    assert [code for code, _, _ in refusals] == [2] * 4
+    assert "invalid choice: 'frobnicate'" in refusals[0][2]
+    assert "invalid int value: 'x'" in refusals[1][2]
+    assert run(capsys, *good) == first
 
 
 def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):

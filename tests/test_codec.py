@@ -51,9 +51,8 @@ def test_results_are_records_of_their_fields():
     assert result.body == stream.prefix(body_len) == bits("1001")
     assert result == encode(ts, [0, 1, 1, 0, 0])
     trace = decode(ts, stream, 5)
-    symbols, lookaheads, consumed = trace
-    assert (symbols, lookaheads, consumed) == \
-        ((0, 1, 1, 0, 0), (1, 3, 0, 1, 1), 4)
+    symbols, longest, consumed = trace
+    assert (symbols, longest, consumed) == ((0, 1, 1, 0, 0), 3, 4)
     # two decodes of one stream are equal records, not two objects
     assert trace == decode(ts, stream, 5)
     assert trace != decode(ts, stream, 4)
@@ -93,7 +92,8 @@ def test_golden_decode_trace():
     ts = examples.binary_delay3_set()
     trace = decode(ts, bits("10011"), 5)
     assert trace.symbols == (0, 1, 1, 0, 0)
-    assert trace.per_symbol_lookahead == (1, 3, 0, 1, 1)
+    # the symbols' own lookaheads are 1, 3, 0, 1, 1
+    assert trace.max_lookahead == 3
     assert max_realized_lookahead(trace) == 3
     assert trace.bits_consumed == 4
 
@@ -109,7 +109,7 @@ def test_decode_zero_symbols():
     ts = examples.binary_delay3_set()
     trace = decode(ts, bits("10011"), 0)
     assert trace.symbols == ()
-    assert trace.per_symbol_lookahead == ()
+    assert trace.max_lookahead == 0
     assert trace.bits_consumed == 0
     with pytest.raises(ValueError):
         decode(ts, bits("1"), -1)
@@ -262,13 +262,14 @@ def test_long_message_crosses_chunk_boundary():
 def test_lookahead_reflects_shortest_matching_query():
     ts = examples.binary_delay3_set()
     # symbol b at tree 0 consumes '0' and peeks at tree 2's mode
-    # {'0','10'}; after '00...' the 1-bit member settles it
+    # {'0','10'}; after '00...' the 1-bit member settles it.  One
+    # symbol is decoded, so the longest lookahead is its own
     trace = decode(ts, bits("00") + bits("0"), 1)
     assert trace.symbols == (1,)
-    assert trace.per_symbol_lookahead == (1,)
+    assert trace.max_lookahead == 1
     # after '010...' only the 2-bit member '10' matches
     trace = decode(ts, bits("010"), 1)
-    assert trace.per_symbol_lookahead == (2,)
+    assert trace.max_lookahead == 2
 
 
 def test_decode_requires_whole_lookahead_present():
@@ -278,7 +279,8 @@ def test_decode_requires_whole_lookahead_present():
     assert result.bits == bits("00")
     trace = decode(ts, result.bits, 2)
     assert trace.symbols == (1, 0)
-    assert trace.per_symbol_lookahead == (1, 0)
+    # 'b' reads the 1-bit member '0' of tree 2's mode, 'a' reads λ
+    assert trace.max_lookahead == 1
 
 
 def decode_outcome(decoder, ts, stream, length):
@@ -286,7 +288,7 @@ def decode_outcome(decoder, ts, stream, length):
         trace = decoder(ts, stream, length)
     except (NoMatch, Truncated) as err:
         return type(err), err.symbol_index, err.bit_position
-    return trace.symbols, trace.per_symbol_lookahead, trace.bits_consumed
+    return trace.symbols, trace.max_lookahead, trace.bits_consumed
 
 
 @settings(deadline=None)
@@ -353,7 +355,7 @@ def test_cycles_of_empty_codewords_end():
             trace = decode(ts, stream, 1000)
             assert time.perf_counter() - start < 0.5
             assert trace.symbols == (0,) * 1000
-            assert trace.per_symbol_lookahead == (0,) * 1000
+            assert trace.max_lookahead == 0
             assert trace.bits_consumed == 0
         # K * (_RUN_BITS + 1) symbols at most in one run
         runs = [run for slots in run_slots(ts) for run in slots if run]
@@ -411,8 +413,8 @@ def check_run_cache(ts):
 
     A stored run ``runs[k][peek]`` is keyed by (k, peek width, peek) and
     a memoized suffix run by its own (tree, bit count, bits).  Each must
-    hold the symbols, lookaheads, bits used and end tree of the walk
-    from its tree over its bits.  Where the walk's next symbol still
+    hold the symbols, the longest lookahead (0 for no symbols), the bits
+    used and the end tree of the walk from its tree over its bits.  Where the walk's next symbol still
     ends inside the bits, the run must have stopped at a (tree, bit
     count) state that the walk meets again: a cycle of empty codewords.
     """
@@ -422,11 +424,11 @@ def check_run_cache(ts):
               for peek, run in enumerate(slots) if run is not None]
     cached += suffixes.items()
     for (k, n, value), run in cached:
-        syms, las, used, end = run or ((), (), 0, k)
+        syms, longest, used, end = run or ((), 0, 0, k)
         walk = steps_inside(ts, k, BitString(value, n))
         steps = list(itertools.islice(walk, len(syms)))
         assert tuple(a for a, _, _, _ in steps) == syms, (k, n, value)
-        assert tuple(q for _, q, _, _ in steps) == las
+        assert max((q for _, q, _, _ in steps), default=0) == longest
         assert sum(clen for _, _, clen, _ in steps) == used
         assert (steps[-1][3] if steps else k) == end
         # the walk goes on past the run only around a cycle, which comes
