@@ -3,10 +3,12 @@
 Each ``cli.main`` invocation below runs in-process over fixed inputs:
 the four example sets, the three imported conventional codes, the two
 VV conversions, two broken sets and ``random_valid_tree_set`` sets of
-2 to 256 symbols, checked with ``validate --delay`` at budgets around
-their longest mode member; then ``import`` and ``convert-vv`` on the
-package's conventional codes and VV tables and on documents they
-refuse.  Its argv, exit code, stdout, stderr and the bytes of any
+2 to 300 symbols, among them 256 one-character names outside latin-1
+and the 189 printable latin-1 ones, checked with ``validate --delay``
+at budgets around their longest mode member; one skewed message of
+5000 symbols through the binary and the ASCII stream; then ``import``
+and ``convert-vv`` on the package's conventional codes and VV tables
+and on documents they refuse.  Its argv, exit code, stdout, stderr and the bytes of any
 output file are hashed into one SHA-256 per command group and compared
 with ``cli_corpus.json``.  So a change that keeps the digests keeps
 every output of the corpus byte-identical.
@@ -66,6 +68,15 @@ def corpus_docs():
     doc = tree_set_to_doc(random_valid_tree_set(rng, symbol_count=256))
     doc["alphabet"] = [chr(0x4E00 + a) for a in range(256)]
     docs.append(("random_m256_cjk", doc))
+    # ids past 255, which fit in no byte
+    docs.append(("random_m300", tree_set_to_doc(
+        random_valid_tree_set(rng, symbol_count=300))))
+    # the 189 printable latin-1 one-character names, '!' to '~' and
+    # '\xa1' to '\xff'
+    doc = tree_set_to_doc(random_valid_tree_set(rng, symbol_count=189))
+    doc["alphabet"] = [chr(c) for c in (*range(0x21, 0x7F),
+                                        *range(0xA1, 0x100))]
+    docs.append(("random_m189_latin1", doc))
     return docs
 
 
@@ -126,6 +137,32 @@ def invocations(name, doc, rng):
     for bits, length in streams:
         yield "decode", ["decode", trees, "--bits", bits,
                          "--length", str(length)], None
+
+
+def long_invocations(rng):
+    """Yield the encode and decode runs of one long skewed message.
+
+    Its 5000 symbols follow the skewed set's own distribution, so most
+    cost 0 or 1 bits and one decoder peek covers several of them.
+    """
+    name = "skewed_long"
+    doc = tree_set_to_doc(examples.skewed_delay3_set())
+    trees = f"{name}.json"
+    Path(trees).write_text(dumps_document(doc), encoding="utf-8")
+    names = doc["alphabet"]
+    n = 5000
+    msg = rng.choices(range(len(names)),
+                      weights=examples.skewed_distribution(), k=n)
+    Path(f"{name}.txt").write_text(" ".join(names[a] for a in msg),
+                                   encoding="utf-8")
+    for fmt, ext in (("binary", "bin"), ("ascii", "bits")):
+        yield "encode", ["encode", trees, "--input", f"{name}.txt",
+                         "--format", fmt, "--output", f"{name}.{ext}"], \
+            f"{name}.{ext}"
+    yield "decode", ["decode", trees, "--input", f"{name}.bin",
+                     "--output", f"{name}.out"], f"{name}.out"
+    yield "decode", ["decode", trees, "--input", f"{name}.bits",
+                     "--length", str(n)], None
 
 
 def budget_invocations(name, doc):
@@ -215,6 +252,7 @@ def all_invocations():
     docs = corpus_docs()
     for name, doc in docs:
         yield from invocations(name, doc, rng)
+    yield from long_invocations(rng)
     for name, doc in docs:
         yield from budget_invocations(name, doc)
     yield from conversion_invocations()
