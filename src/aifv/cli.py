@@ -17,7 +17,7 @@ import os
 import sys
 
 from .analysis import entropy, monte_carlo_rate, rate_and_stationary
-from .codec import decode, encode
+from .codec import _decode, encode
 from .codetree import check_delay_budget, decoding_delay, validate
 from .errors import AifvError, FormatError, MemberTooLong
 from .formats import (dumps_document, loads_document, loads_json,
@@ -187,16 +187,17 @@ def _cmd_decode(args):
             length = args.length
     if length is None:
         raise FormatError("a symbol count is required: pass --length")
-    trace = decode(tree_set, bits, length)
+    symbols, _, _ = _decode(tree_set, bits, length)
     codes = _latin1_names(tree_set)
     if codes is None:
         names = tree_set.symbols
-        text = " ".join([names[a] for a in trace.symbols]) + "\n"
+        text = " ".join([names[a] for a in symbols]) + "\n"
     else:
-        # the names go to the even bytes, between spaces, and "\n"
-        # replaces the last space, or is the whole output when empty
-        out = bytearray(b" ") * (2 * len(trace.symbols))
-        out[::2] = bytes(trace.symbols).translate(codes.ljust(256, b"\0"))
+        # at most 256 names, so the ids come as a bytearray; the names
+        # go to the even bytes, between spaces, and "\n" replaces the
+        # last space, or is the whole output when empty
+        out = bytearray(b" ") * (2 * len(symbols))
+        out[::2] = symbols.translate(codes.ljust(256, b"\0"))
         out[-1:] = b"\n"
         text = out.decode("latin-1")
     _write_text(args.output, text)

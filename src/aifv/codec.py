@@ -14,9 +14,9 @@ matches and some member of Mode_{Point_k(a)} follows it.  Only the
 codeword is consumed; the matched mode member is lookahead and stays
 in the stream.  On a valid set exactly one symbol can ever match, so
 the decoder commits to the first one it confirms, and the lookahead
-never exceeds the set's decoding delay.  One function, ``_confirm``,
-makes that step over a tree's rows, for the decoder's window and for
-the run builder's peek bits alike.
+never exceeds the set's decoding delay.  ``_confirm`` makes that step
+over a tree's rows for the decoder's window; the run builder reads it
+from a per-tree step table indexed by peek bits instead.
 
 No decision looks further than ``reach`` bits past the current
 position: the longest expanded codeword of the set.
@@ -38,12 +38,17 @@ extended to several symbols per lookup.
   where most symbols cost 0 or 1 bits, one lookup emits about ten
   symbols.  A new peek's run is its first symbol joined to the run of
   the peek bits that symbol leaves, read from its successor; these
-  suffix runs are built by the same step and memoized per tree and
-  bits, so peeks that end alike share them, and a set met for the
-  first time fills its run slots in fewer walks.  A tree gets its own
-  run slots when its first run is stored; on a tree none of whose
-  expanded words fits in the peek, every peek stores the empty run, so
-  its symbols keep the walk.
+  suffix runs are memoized per tree and bits, so peeks that end alike
+  share them, and a set met for the first time fills its run slots in
+  fewer walks.  Each step of a run is one lookup in the tree's step
+  table: per peek, the symbol whose codeword and shortest fitting
+  lookahead begin it, filled by ranges from the tree's rows the first
+  time the run builder reaches the tree.  A tree gets its own run
+  slots when its first run is stored; on a tree none of whose expanded
+  words fits in the peek, every peek stores the empty run, so its
+  symbols keep the walk.  On alphabets of at most 256 symbols runs
+  hold their symbols as bytes, which the decoder appends to a
+  bytearray with one copy.
 - From tree k, four symbols fix one composite codeword and the tree
   they end in: a block of the set's 4-symbol extension, a
   variable-to-variable code with a fixed parse.  On an alphabet of at
@@ -54,10 +59,11 @@ extended to several symbols per lookup.
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
 successor's mode members as (length, value) pairs).  The validator
-reads the same rows.  ``reach``, the decoder's run slots and suffix
-runs and the encoder's block slots are the codec's own cache, kept in
-the set's ``_codec`` slot and built on first use by either side; they
-are filled as the codec meets new peeks, suffixes and blocks.
+reads the same rows.  ``reach``, the decoder's run slots, suffix runs
+and step tables and the encoder's block slots are the codec's own
+cache, kept in the set's ``_codec`` slot and built on first use by
+either side; they are filled as the codec meets new peeks, suffixes,
+trees and blocks.
 
 Both sides return named tuples: ``encode`` an ``EncodeResult(bits,
 body_len, final_tree, termination)``, whose ``body`` is the first
@@ -85,7 +91,7 @@ _RUN_BITS = 8
 
 
 def _tables(tree_set):
-    """The set's codec cache: ``(reach, runs, blocks, suffixes)``.
+    """The set's codec cache: ``(reach, runs, blocks, suffixes, steps)``.
 
     ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
     ``blocks[k][key]`` the encoder's block for four symbols packed into
@@ -96,6 +102,9 @@ def _tables(tree_set):
     ``blocks`` is None on alphabets of more than four symbols.
     ``suffixes`` maps ``(k, n, bits)`` to the decoder's run of n stream
     bits at tree k, holding only the states met (see ``_suffix_run``).
+    ``steps[k]`` is tree k's step table (see ``_step_table``), or None
+    until the decoder first needs it; none is built here, because the
+    encoder, which never reads them, builds this cache too.
     """
     if tree_set._codec is None:
         rows = tree_set.rows
@@ -105,7 +114,8 @@ def _tables(tree_set):
                 for row in rows for _, clen, _, _, follow in row),
             [(None,) * (1 << _RUN_BITS)] * len(rows),
             [(None,) * 256] * len(rows) if len(rows[0]) <= 4 else None,
-            {})
+            {},
+            [None] * len(rows))
     return tree_set._codec
 
 
@@ -131,14 +141,47 @@ def _confirm(row, n, bits):
     return None
 
 
-def _suffix_run(rows, suffixes, k, n, bits):
+def _step_table(rows, steps, k, width):
+    """Build, store in ``steps[k]`` and return tree k's step table.
+
+    Entry p is the step that a ``width``-bit peek p confirms at tree k:
+    ``(symbol, codeword length, successor, lookahead, codeword length +
+    lookahead)``, the expanded word of the row and shortest mode member
+    that begin p, or None if no expanded word of at most ``width`` bits
+    does.  Each such word fills the peeks that start with it, and a
+    row's members are written longest first, so the shortest that fits
+    is the one left; on a valid set no two rows share a peek.
+
+    So the step that n <= ``width`` bits ``bits`` confirm, the one
+    ``_confirm(rows[k], n, bits)`` finds, is entry ``bits << (width -
+    n)`` when its last field is at most n, and none otherwise: an
+    expanded word of at most n bits that begins ``bits`` begins that
+    peek too.
+    """
+    table = [None] * (1 << width)
+    for a, clen, cval, point, queries in rows[k]:
+        for qlen, qval in reversed(queries):
+            wlen = clen + qlen
+            if wlen <= width:
+                free = width - wlen
+                start = ((cval << qlen) | qval) << free
+                table[start:start + (1 << free)] = \
+                    [(a, clen, point, qlen, wlen)] * (1 << free)
+    steps[k] = table
+    return table
+
+
+def _suffix_run(rows, steps, suffixes, width, seq, k, n, bits):
     """The run that ``n`` stream bits, the integer ``bits``, decide at tree k.
 
     The run is ``(symbols, longest lookahead, bits used, end tree)``:
     the symbols decoded from tree k for as long as each codeword and its
-    lookahead end inside the bits, and the largest of their lookaheads,
-    0 for a run of no symbols.  ``suffixes`` memoizes it per ``(tree,
-    bit count, bits)``, and so every state the walk passes.
+    lookahead end inside the bits, held in a ``seq`` (bytes or tuple),
+    and the largest of their lookaheads, 0 for a run of no symbols.
+    Each step is read from the current tree's step table of ``width``
+    bits, built on the walk's first visit to the tree.  ``suffixes``
+    memoizes the run per ``(tree, bit count, bits)``, and so every
+    state the walk passes.
     The walk is a loop, whatever K: it stops at a memoized state, at a
     state where no symbol fits, or back at a state on its own path, a
     cycle of empty codewords that never leaves the bits.  The states of
@@ -152,12 +195,12 @@ def _suffix_run(rows, suffixes, k, n, bits):
     while run is None:
         # on the path, a state holds its index there
         suffixes[key] = len(path)
-        # the step decode takes, over these n bits alone
-        step = _confirm(rows[k], n, bits)
-        if step is None:
-            run = suffixes[key] = ((), 0, 0, k)
+        step = (steps[k] or _step_table(rows, steps, k, width))[
+            bits << (width - n)]
+        if step is None or step[4] > n:
+            run = suffixes[key] = (seq(), 0, 0, k)
             break
-        a, clen, point, qlen = step
+        a, clen, point, qlen, _ = step
         path.append((key, a, clen, qlen))
         k = point
         n -= clen
@@ -167,13 +210,13 @@ def _suffix_run(rows, suffixes, k, n, bits):
     if type(run) is int:
         # back on the path: the states from that index on are the cycle
         for key, _, _, _ in path[run:]:
-            suffixes[key] = ((), 0, 0, key[0])
+            suffixes[key] = (seq(), 0, 0, key[0])
         del path[run:]
-        run = ((), 0, 0, k)
+        run = (seq(), 0, 0, k)
     for key, a, clen, qlen in reversed(path):
         syms, look, used, end = run
         run = suffixes[key] = (
-            (a,) + syms, max(qlen, look), clen + used, end)
+            seq((a,)) + syms, max(qlen, look), clen + used, end)
     return run
 
 
@@ -301,6 +344,18 @@ def decode(tree_set, bits, length):
     records how many were consumed, and the longest lookahead any
     symbol used.  Raises Truncated when the stream stops in the middle
     of a decision and NoMatch when no symbol fits the bits at all.
+    """
+    symbols, longest, consumed = _decode(tree_set, bits, length)
+    return DecodeTrace(tuple(symbols), longest, consumed)
+
+
+def _decode(tree_set, bits, length):
+    """``decode``'s loop: ``(symbols, longest lookahead, bits consumed)``.
+
+    On an alphabet of at most 256 symbols the symbols come as a
+    bytearray of ids, and runs hold theirs as bytes, so a run is
+    appended with one copy and the CLI maps ids to names with one
+    ``translate``; wider alphabets use a list and tuples.
 
     The stream is packed once into left-aligned bytes, as in the binary
     container.  The window ``win`` holds the stream bits up to position
@@ -325,21 +380,21 @@ def decode(tree_set, bits, length):
     of ``win`` before the position are already consumed, and
     ``_confirm`` ignores them.
 
-    A peek met for the first time shares the step's walk.  If the
-    symbol it confirms has its codeword and lookahead inside the peek,
-    the peek's run is that symbol joined to the suffix run of the peek
-    bits it leaves, read from its successor (``_suffix_run``);
-    otherwise the run is ``()``, so later visits go straight to the
-    walk.  The run is stored, and applied at once if it fits.  Any
-    stream that starts with the peek decodes to the same run: mode
-    members are tried shortest first, a valid set lets at most one row
-    be confirmed, and bits inside the peek confirm it, so a decision
-    made from the bits of a suffix is the one the whole window gives.
-    A run meets each (tree, bit count) state at most once, so it holds
-    at most ``K * (_RUN_BITS + 1)`` symbols for K trees; a cycle of
-    empty codewords, which would never leave the peek, ends it.
-    Truncated and NoMatch come from the walk alone, so they report the
-    same symbol and bit as without runs.
+    A peek met for the first time reads its first step from the tree's
+    step table (``_step_table``).  If the peek holds a whole expanded
+    word there, the peek's run is that step's symbol joined to the
+    suffix run of the peek bits it leaves, read from its successor
+    (``_suffix_run``); otherwise the run is ``()``, so later visits go
+    straight to the walk.  The run is stored, and applied at once if it
+    fits.  Any stream that starts with the peek decodes to the same
+    run: mode members are tried shortest first, a valid set lets at
+    most one row be confirmed, and bits inside the peek confirm it, so
+    a decision made from the bits of a suffix is the one the whole
+    window gives.  A run meets each (tree, bit count) state at most
+    once, so it holds at most ``K * (_RUN_BITS + 1)`` symbols for K
+    trees; a cycle of empty codewords, which would never leave the
+    peek, ends it.  Truncated and NoMatch come from the walk alone, so
+    they report the same symbol and bit as without runs.
 
     Refills cost O(bits) in all.  A walk costs O(candidates) operations
     on a window of about ``_CHUNK_BITS + reach + _RUN_BITS`` bits, and
@@ -350,7 +405,11 @@ def decode(tree_set, bits, length):
         raise ValueError("symbol count must be non-negative")
     peek_bits = _RUN_BITS
     rows = tree_set.rows
-    reach, runs, _, suffixes = _tables(tree_set)
+    reach, runs, _, suffixes, steps = _tables(tree_set)
+    if len(rows[0]) <= 256:
+        seq, out = bytes, bytearray()
+    else:
+        seq, out = tuple, []
     mask = (1 << peek_bits) - 1
     margin = reach + peek_bits
     total = bits.length
@@ -358,7 +417,6 @@ def decode(tree_set, bits, length):
     win = 0
     wend = 0
     pos = 0
-    out = []
     longest = 0
     k = 0
     i = 0
@@ -374,6 +432,20 @@ def decode(tree_set, bits, length):
         if avail >= peek_bits:
             peek = (win >> (avail - peek_bits)) & mask
             run = runs[k][peek]
+            if run is None:
+                run = ()
+                step = (steps[k] or _step_table(rows, steps, k, peek_bits))[
+                    peek]
+                if step is not None:
+                    a, clen, point, qlen, _ = step
+                    rest = peek_bits - clen
+                    syms, look, used, end = _suffix_run(
+                        rows, steps, suffixes, peek_bits, seq,
+                        point, rest, peek & ((1 << rest) - 1))
+                    run = (seq((a,)) + syms, max(qlen, look), clen + used, end)
+                if type(runs[k]) is tuple:
+                    runs[k] = [None] * (1 << peek_bits)
+                runs[k][peek] = run
         if not run or len(run[0]) > length - i:
             step = _confirm(rows[k], avail, win)
             if step is None:
@@ -392,28 +464,17 @@ def decode(tree_set, bits, length):
                     f"no symbol matches at bit {pos}",
                     symbol_index=i, bit_position=pos)
             a, clen, point, qlen = step
-            if run is None:
-                rest = peek_bits - clen
-                run = ()
-                if qlen <= rest:
-                    syms, look, used, end = _suffix_run(
-                        rows, suffixes, point, rest, peek & ((1 << rest) - 1))
-                    run = ((a,) + syms, max(qlen, look), clen + used, end)
-                if type(runs[k]) is tuple:
-                    runs[k] = [None] * (1 << peek_bits)
-                runs[k][peek] = run
-            if not run or len(run[0]) > length - i:
-                out.append(a)
-                if qlen > longest:
-                    longest = qlen
-                pos += clen
-                k = point
-                i += 1
-                continue
+            out.append(a)
+            if qlen > longest:
+                longest = qlen
+            pos += clen
+            k = point
+            i += 1
+            continue
         syms, look, used, k = run
         out += syms
         if look > longest:
             longest = look
         i += len(syms)
         pos += used
-    return DecodeTrace(tuple(out), longest, pos)
+    return out, longest, pos

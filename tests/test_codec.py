@@ -14,6 +14,8 @@ from aifv.bitstring import BitString
 from aifv.codec import decode, encode, max_realized_lookahead
 from aifv.codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from aifv.errors import NoMatch, SymbolOutOfRange, Truncated, Unvalidated
+from aifv.formats import parse_vv_table
+from aifv.transform import vv_to_tree_set
 from aifv import examples
 
 from conftest import (bits, decode_oracle, encode_oracle,
@@ -30,6 +32,11 @@ def tree(mode, rows):
 def run_slots(ts):
     """The decoder's run slots, one list per tree, cached on the set."""
     return ts._codec[1]
+
+
+def run_symbols(ts):
+    """The type a set's decoder runs hold their symbols in."""
+    return bytes if ts.symbol_count <= 256 else tuple
 
 
 def test_golden_encode():
@@ -360,6 +367,7 @@ def test_cycles_of_empty_codewords_end():
         # K * (_RUN_BITS + 1) symbols at most in one run
         runs = [run for slots in run_slots(ts) for run in slots if run]
         assert runs
+        assert all(type(run[0]) is bytes for run in runs)
         assert all(len(run[0]) <= ts.tree_count * (codec._RUN_BITS + 1)
                    for run in runs)
 
@@ -379,13 +387,14 @@ def test_a_long_chain_of_empty_codewords_decodes():
 
 def test_codec_slots_are_allocated_per_tree_on_first_store():
     # the 3000 trees of the long chain share one all-None tuple of run
-    # slots and one of block slots; only the trees met get their own
+    # slots and one of block slots, and have no step table; only the
+    # trees met get their own
     count = 3000
     ts = CodeTreeSet([tree([""], [("", (i + 1) % count)])
                       for i in range(count)])
     tracemalloc.start()
     try:
-        _, runs, blocks, _ = codec._tables(ts)
+        _, runs, blocks, _, steps = codec._tables(ts)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -393,6 +402,7 @@ def test_codec_slots_are_allocated_per_tree_on_first_store():
     no_runs, no_blocks = runs[0], blocks[0]
     assert all(slots is no_runs for slots in runs)
     assert all(slots is no_blocks for slots in blocks)
+    assert steps == [None] * count
     assert decode(ts, bits("0" * 16), 10).symbols == (0,) * 10
     assert encode(ts, [0] * 8).bits == bits("")
     assert no_runs == (None,) * (1 << codec._RUN_BITS)
@@ -406,6 +416,9 @@ def test_codec_slots_are_allocated_per_tree_on_first_store():
     assert [k for k, slots in enumerate(blocks)
             if slots is not no_blocks] == [0, 4]
     assert type(blocks[0]) is list and len(blocks[0]) == 256
+    # the first peek's suffix walk passes every tree of the loop
+    assert all(type(table) is list and len(table) == 1 << codec._RUN_BITS
+               for table in steps)
 
 
 def check_run_cache(ts):
@@ -413,21 +426,28 @@ def check_run_cache(ts):
 
     A stored run ``runs[k][peek]`` is keyed by (k, peek width, peek) and
     a memoized suffix run by its own (tree, bit count, bits).  Each must
-    hold the symbols, the longest lookahead (0 for no symbols), the bits
-    used and the end tree of the walk from its tree over its bits.  Where the walk's next symbol still
-    ends inside the bits, the run must have stopped at a (tree, bit
-    count) state that the walk meets again: a cycle of empty codewords.
+    hold the symbols, as bytes on an alphabet of at most 256 symbols and
+    as a tuple on a wider one, the longest lookahead (0 for no symbols),
+    the bits used and the end tree of the walk from its tree over its
+    bits.  Where the walk's next symbol still ends inside the bits, the
+    run must have stopped at a (tree, bit count) state that the walk
+    meets again: a cycle of empty codewords.  Every step table built is
+    the one of the peek width.
     """
     width = codec._RUN_BITS
-    _, runs, _, suffixes = ts._codec
+    _, runs, _, suffixes, tables = ts._codec
+    for k, table in enumerate(tables):
+        assert table is None or table == codec._step_table(
+            ts.rows, [None] * ts.tree_count, k, width)
     cached = [((k, width, peek), run) for k, slots in enumerate(runs)
               for peek, run in enumerate(slots) if run is not None]
     cached += suffixes.items()
     for (k, n, value), run in cached:
-        syms, longest, used, end = run or ((), 0, 0, k)
+        syms, longest, used, end = run or (run_symbols(ts)(), 0, 0, k)
+        assert type(syms) is run_symbols(ts)
         walk = steps_inside(ts, k, BitString(value, n))
         steps = list(itertools.islice(walk, len(syms)))
-        assert tuple(a for a, _, _, _ in steps) == syms, (k, n, value)
+        assert tuple(a for a, _, _, _ in steps) == tuple(syms), (k, n, value)
         assert max((q for _, q, _, _ in steps), default=0) == longest
         assert sum(clen for _, _, clen, _ in steps) == used
         assert (steps[-1][3] if steps else k) == end
@@ -491,6 +511,85 @@ def test_run_table_is_bounded():
     assert all(len(slots) == 1 << codec._RUN_BITS for slots in runs)
     stored = [run for slots in runs for run in slots if run is not None]
     assert 0 < len(stored) <= ts.tree_count << codec._RUN_BITS
+    assert all(type(run[0]) is bytes for run in stored if run)
+
+
+def step_table_sets():
+    """The sets the step tables are checked on.
+
+    The example, imported and VV sets, random ones of 2-8, 64 and 256
+    symbols, and one whose mode has comparable members.
+    """
+    rng = random.Random(SEED + 6)
+    # '0' and '01' both follow a codeword in '01...': the lookahead is '0'
+    comparable = CodeTreeSet([tree([""], [("0", 1), ("1", 1)]),
+                              tree(["0", "01", "1"], [("0", 1), ("1", 0)])])
+    assert validate(comparable).ok
+    return [comparable,
+            examples.binary_delay3_set(), examples.instantaneous_huffman_set(),
+            examples.ternary_full_set(), examples.skewed_delay3_set(),
+            *imported_examples(),
+            *(vv_to_tree_set(parse_vv_table(doc))
+              for doc in (examples.pair_huffman_vv_doc(),
+                          examples.tunstall_vv_doc())),
+            *(random_valid_tree_set(rng, symbol_count=m)
+              for m in (*range(2, 9), 64, 256))]
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 16])
+def test_step_table_matches_confirm(width):
+    # every n-bit value for n up to 12, and 512 drawn ones for each
+    # longer n, which only the width of 16 has
+    rng = random.Random(width)
+    for ts in step_table_sets():
+        for k, row in enumerate(ts.rows):
+            steps = [None] * ts.tree_count
+            table = codec._step_table(ts.rows, steps, k, width)
+            assert steps[k] is table and len(table) == 1 << width
+            for n in range(width + 1):
+                values = range(1 << n) if n <= 12 \
+                    else rng.sample(range(1 << n), 512)
+                for value in values:
+                    step = table[value << (width - n)]
+                    got = step[:4] if step is not None and step[4] <= n \
+                        else None
+                    assert got == codec._confirm(row, n, value), (k, n, value)
+
+
+def test_alphabets_past_256_decode_like_the_oracle():
+    # ids past 255 fit in no byte, so runs hold tuples; in the first set,
+    # symbol 0's 1-bit codewords give runs of several symbols at every
+    # peek width, and the other codewords have 10 bits
+    wide = [f"{v:09b}" for v in range(299)]
+    skewed = CodeTreeSet([
+        tree([""], [("0", 1)] + [("1" + w, v % 2) for v, w in enumerate(wide)]),
+        tree([""], [("1", 0)] + [("0" + w, 0) for w in wide]),
+    ])
+    rng = random.Random(SEED + 7)
+    for ts in (skewed, random_valid_tree_set(rng, symbol_count=300)):
+        assert validate(ts).ok
+        msg = [0 if rng.random() < 0.7 else rng.randrange(300)
+               for _ in range(400)]
+        clean = encode(ts, msg).bits
+        flipped = BitString(clean.value ^ (1 << rng.randrange(clean.length)),
+                            clean.length)
+        cases = [(clean, len(msg)), (flipped, len(msg)),
+                 (clean.prefix(clean.length // 2), len(msg)),
+                 (BitString(rng.getrandbits(64), 64), 10),
+                 (clean, len(msg) - 1)]
+        expected = [decode_outcome(decode_oracle, ts, stream, length)
+                    for stream, length in cases]
+        assert expected[0][0] == tuple(msg)
+        for width in (1, 3, 8, 16):
+            fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(codec, "_RUN_BITS", width)
+                got = [decode_outcome(decode, fresh, stream, length)
+                       for stream, length in cases]
+                assert got == expected, width
+                check_run_cache(fresh)
+            if ts is skewed:
+                assert any(run for slots in run_slots(fresh) for run in slots)
 
 
 def test_trees_without_a_short_expanded_word_store_only_empty_runs():
