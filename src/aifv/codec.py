@@ -36,19 +36,19 @@ extended to several symbols per lookup.
   ``_RUN_BITS``-bit peek, the run of symbols the peek decides, and on
   a later visit emits the whole run at once.  On a skewed source,
   where most symbols cost 0 or 1 bits, one lookup emits about ten
-  symbols.  A new peek's run is its first symbol joined to the run of
-  the peek bits that symbol leaves, read from its successor; these
-  suffix runs are memoized per tree and bits, so peeks that end alike
-  share them, and a set met for the first time fills its run slots in
-  fewer walks.  Each step of a run is one lookup in the tree's step
-  table: per peek, the symbol whose codeword and shortest fitting
-  lookahead begin it, filled by ranges from the tree's rows the first
-  time the run builder reaches the tree.  A tree gets its own run
-  slots when its first run is stored; on a tree none of whose expanded
-  words fits in the peek, every peek stores the empty run, so its
-  symbols keep the walk.  On alphabets of at most 256 symbols runs
-  hold their symbols as bytes, which the decoder appends to a
-  bytearray with one copy.
+  symbols.  A new peek's run is built by one walk over the peek's
+  bits, which stops where the next codeword and its lookahead would
+  leave them, or after ``_CHUNK_BITS`` symbols: that bound caps the
+  work of a missed peek, whatever the number of trees, and ends cycles
+  of empty codewords, which never leave the peek.  Each step of the
+  walk is one lookup in the tree's step table: per peek, the symbol
+  whose codeword and shortest fitting lookahead begin it, filled by
+  ranges from the tree's rows the first time a walk reaches the tree.
+  A tree gets its own run slots when its first run is stored; on a
+  tree none of whose expanded words fits in the peek, every peek
+  stores the empty run, so its symbols keep the plain walk.  On
+  alphabets of at most 256 symbols runs hold their symbols as bytes,
+  which the decoder appends to a bytearray with one copy.
 - From tree k, four symbols fix one composite codeword and the tree
   they end in: a block of the set's 4-symbol extension, a
   variable-to-variable code with a fixed parse.  On an alphabet of at
@@ -59,11 +59,10 @@ extended to several symbols per lookup.
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
 successor's mode members as (length, value) pairs).  The validator
-reads the same rows.  ``reach``, the decoder's run slots, suffix runs
-and step tables and the encoder's block slots are the codec's own
-cache, kept in the set's ``_codec`` slot and built on first use by
-either side; they are filled as the codec meets new peeks, suffixes,
-trees and blocks.
+reads the same rows.  ``reach``, the decoder's run slots and step
+tables and the encoder's block slots are the codec's own cache, kept
+in the set's ``_codec`` slot and built on first use by either side;
+they are filled as the codec meets new peeks, trees and blocks.
 
 Both sides return named tuples: ``encode`` an ``EncodeResult(bits,
 body_len, final_tree, termination)``, whose ``body`` is the first
@@ -82,7 +81,8 @@ from .errors import NoMatch, SymbolOutOfRange, Truncated
 
 # the encoder flushes its accumulator's whole bytes once it holds this
 # many bits, and the decoder refills its window in steps of the same
-# size, so the integers both loops shift and mask stay small
+# size, so the integers both loops shift and mask stay small; a
+# decoder run holds at most this many symbols
 _CHUNK_BITS = 256
 # the decoder peeks at this many stream bits and caches, per tree and
 # peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
@@ -91,7 +91,7 @@ _RUN_BITS = 8
 
 
 def _tables(tree_set):
-    """The set's codec cache: ``(reach, runs, blocks, suffixes, steps)``.
+    """The set's codec cache: ``(reach, runs, blocks, steps)``.
 
     ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
     ``blocks[k][key]`` the encoder's block for four symbols packed into
@@ -100,8 +100,6 @@ def _tables(tree_set):
     set's trees; a tree gets its own list at its first stored run or
     block, so a set of many trees pays only for the trees met.
     ``blocks`` is None on alphabets of more than four symbols.
-    ``suffixes`` maps ``(k, n, bits)`` to the decoder's run of n stream
-    bits at tree k, holding only the states met (see ``_suffix_run``).
     ``steps[k]`` is tree k's step table (see ``_step_table``), or None
     until the decoder first needs it; none is built here, because the
     encoder, which never reads them, builds this cache too.
@@ -114,7 +112,6 @@ def _tables(tree_set):
                 for row in rows for _, clen, _, _, follow in row),
             [(None,) * (1 << _RUN_BITS)] * len(rows),
             [(None,) * 256] * len(rows) if len(rows[0]) <= 4 else None,
-            {},
             [None] * len(rows))
     return tree_set._codec
 
@@ -169,55 +166,6 @@ def _step_table(rows, steps, k, width):
                     [(a, clen, point, qlen, wlen)] * (1 << free)
     steps[k] = table
     return table
-
-
-def _suffix_run(rows, steps, suffixes, width, seq, k, n, bits):
-    """The run that ``n`` stream bits, the integer ``bits``, decide at tree k.
-
-    The run is ``(symbols, longest lookahead, bits used, end tree)``:
-    the symbols decoded from tree k for as long as each codeword and its
-    lookahead end inside the bits, held in a ``seq`` (bytes or tuple),
-    and the largest of their lookaheads, 0 for a run of no symbols.
-    Each step is read from the current tree's step table of ``width``
-    bits, built on the walk's first visit to the tree.  ``suffixes``
-    memoizes the run per ``(tree, bit count, bits)``, and so every
-    state the walk passes.
-    The walk is a loop, whatever K: it stops at a memoized state, at a
-    state where no symbol fits, or back at a state on its own path, a
-    cycle of empty codewords that never leaves the bits.  The states of
-    such a cycle keep the empty run, and a run that reaches one stops
-    there, so no run meets a state twice, and each holds at most K *
-    (n + 1) symbols.
-    """
-    path = []
-    key = (k, n, bits)
-    run = suffixes.get(key)
-    while run is None:
-        # on the path, a state holds its index there
-        suffixes[key] = len(path)
-        step = (steps[k] or _step_table(rows, steps, k, width))[
-            bits << (width - n)]
-        if step is None or step[4] > n:
-            run = suffixes[key] = (seq(), 0, 0, k)
-            break
-        a, clen, point, qlen, _ = step
-        path.append((key, a, clen, qlen))
-        k = point
-        n -= clen
-        bits &= (1 << n) - 1
-        key = (k, n, bits)
-        run = suffixes.get(key)
-    if type(run) is int:
-        # back on the path: the states from that index on are the cycle
-        for key, _, _, _ in path[run:]:
-            suffixes[key] = (seq(), 0, 0, key[0])
-        del path[run:]
-        run = (seq(), 0, 0, k)
-    for key, a, clen, qlen in reversed(path):
-        syms, look, used, end = run
-        run = suffixes[key] = (
-            seq((a,)) + syms, max(qlen, look), clen + used, end)
-    return run
 
 
 def _spill(out, acc, acc_len):
@@ -380,32 +328,36 @@ def _decode(tree_set, bits, length):
     of ``win`` before the position are already consumed, and
     ``_confirm`` ignores them.
 
-    A peek met for the first time reads its first step from the tree's
-    step table (``_step_table``).  If the peek holds a whole expanded
-    word there, the peek's run is that step's symbol joined to the
-    suffix run of the peek bits it leaves, read from its successor
-    (``_suffix_run``); otherwise the run is ``()``, so later visits go
-    straight to the walk.  The run is stored, and applied at once if it
-    fits.  Any stream that starts with the peek decodes to the same
-    run: mode members are tried shortest first, a valid set lets at
-    most one row be confirmed, and bits inside the peek confirm it, so
-    a decision made from the bits of a suffix is the one the whole
-    window gives.  A run meets each (tree, bit count) state at most
-    once, so it holds at most ``K * (_RUN_BITS + 1)`` symbols for K
-    trees; a cycle of empty codewords, which would never leave the
-    peek, ends it.  Truncated and NoMatch come from the walk alone, so
-    they report the same symbol and bit as without runs.
+    A peek met for the first time builds its run with one walk from
+    the tree over the peek's bits.  With ``used`` of them consumed,
+    the next step is entry ``(peek << used) & mask`` of the current
+    tree's step table (``_step_table``), taken when its expanded word
+    fits in the ``_RUN_BITS - used`` bits left.  The walk stops at the
+    first step that does not fit, or after ``_CHUNK_BITS`` symbols:
+    that bound caps the work of a missed peek at ``_CHUNK_BITS`` table
+    lookups, whatever the number of trees, and ends a cycle of empty
+    codewords, which would never leave the peek, so the walk needs no
+    cycle check and no memo.  A peek that fits no symbol stores ``()``,
+    so later visits go straight to the plain walk.  The run is stored,
+    and applied at once if it fits.  Any stream that starts with the
+    peek decodes to the same run: mode members are tried shortest
+    first, a valid set lets at most one row be confirmed, and bits
+    inside the peek confirm it, so a decision made from the bits left
+    in the peek is the one the whole window gives.  Truncated and
+    NoMatch come from the plain walk alone, so they report the same
+    symbol and bit as without runs.
 
-    Refills cost O(bits) in all.  A walk costs O(candidates) operations
-    on a window of about ``_CHUNK_BITS + reach + _RUN_BITS`` bits, and
-    a stored run costs one lookup, whatever the message length.
+    Refills cost O(bits) in all.  A plain step costs O(candidates)
+    operations on a window of about ``_CHUNK_BITS + reach + _RUN_BITS``
+    bits, a new run at most ``_CHUNK_BITS`` lookups, and a stored run
+    one lookup, whatever the message length.
     """
     tree_set.ensure_valid()
     if length < 0:
         raise ValueError("symbol count must be non-negative")
     peek_bits = _RUN_BITS
     rows = tree_set.rows
-    reach, runs, _, suffixes, steps = _tables(tree_set)
+    reach, runs, _, steps = _tables(tree_set)
     if len(rows[0]) <= 256:
         seq, out = bytes, bytearray()
     else:
@@ -433,16 +385,20 @@ def _decode(tree_set, bits, length):
             peek = (win >> (avail - peek_bits)) & mask
             run = runs[k][peek]
             if run is None:
-                run = ()
-                step = (steps[k] or _step_table(rows, steps, k, peek_bits))[
-                    peek]
-                if step is not None:
-                    a, clen, point, qlen, _ = step
-                    rest = peek_bits - clen
-                    syms, look, used, end = _suffix_run(
-                        rows, steps, suffixes, peek_bits, seq,
-                        point, rest, peek & ((1 << rest) - 1))
-                    run = (seq((a,)) + syms, max(qlen, look), clen + used, end)
+                syms = []
+                look = used = 0
+                end = k
+                while len(syms) < _CHUNK_BITS:
+                    step = (steps[end] or _step_table(
+                        rows, steps, end, peek_bits))[(peek << used) & mask]
+                    if step is None or used + step[4] > peek_bits:
+                        break
+                    a, clen, end, qlen, _ = step
+                    syms.append(a)
+                    used += clen
+                    if qlen > look:
+                        look = qlen
+                run = (seq(syms), look, used, end) if syms else ()
                 if type(runs[k]) is tuple:
                     runs[k] = [None] * (1 << peek_bits)
                 runs[k][peek] = run

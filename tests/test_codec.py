@@ -339,10 +339,11 @@ def test_decode_matches_whole_stream_oracle(rng):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_CHUNK_BITS", chunk)
             assert encode(ts, msg).bits.text() == expected_text
-    # each peek width gets a fresh set: the run table is cached on it
+    # each peek width and chunk size gets a fresh set: the run table is
+    # cached on it, and a run holds at most _CHUNK_BITS symbols
     for width in (1, 3, 8, 16):
-        fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
         for chunk in chunks:
+            fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(codec, "_CHUNK_BITS", chunk)
                 patch.setattr(codec, "_RUN_BITS", width)
@@ -364,12 +365,11 @@ def test_cycles_of_empty_codewords_end():
             assert trace.symbols == (0,) * 1000
             assert trace.max_lookahead == 0
             assert trace.bits_consumed == 0
-        # K * (_RUN_BITS + 1) symbols at most in one run
+        # a cycle never leaves the peek, so its runs stop at the bound
         runs = [run for slots in run_slots(ts) for run in slots if run]
         assert runs
         assert all(type(run[0]) is bytes for run in runs)
-        assert all(len(run[0]) <= ts.tree_count * (codec._RUN_BITS + 1)
-                   for run in runs)
+        assert all(len(run[0]) == codec._CHUNK_BITS for run in runs)
 
 
 def test_a_long_chain_of_empty_codewords_decodes():
@@ -385,6 +385,36 @@ def test_a_long_chain_of_empty_codewords_decodes():
     assert trace.bits_consumed == 0
 
 
+def test_long_paths_of_empty_codewords_decode_in_bounded_work():
+    # the chain above, and a line: trees 0 to 2998 read no bits and hand
+    # over to the next, tree 2999 reads '0' and returns to tree 0, and
+    # every mode is {'0'}, so a peek of zeros decides 3000 symbols per
+    # bit, K * (width + 1) in all, with no cycle inside the peek.  A run
+    # stops at its bound of symbols, so neither set costs work or memory
+    # in proportion to its 3000 trees
+    count = 3000
+    chain = [tree([""], [("", (i + 1) % count)]) for i in range(count)]
+    line = [tree(["0"], [("" if i + 1 < count else "0", (i + 1) % count)])
+            for i in range(count)]
+    for trees, length, consumed, limit in ((chain, 10, 0, 2 << 20),
+                                           (line, 10, 0, 2 << 20),
+                                           (line, 5000, 1, 16 << 20)):
+        ts = CodeTreeSet(trees)
+        ts.ensure_valid()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            trace = decode(ts, bits("0" * 16), length)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.symbols == (0,) * length
+        assert trace.bits_consumed == consumed
+        assert elapsed < 1.0, (length, elapsed)
+        assert peak < limit, (length, peak)
+
+
 def test_codec_slots_are_allocated_per_tree_on_first_store():
     # the 3000 trees of the long chain share one all-None tuple of run
     # slots and one of block slots, and have no step table; only the
@@ -394,7 +424,7 @@ def test_codec_slots_are_allocated_per_tree_on_first_store():
                       for i in range(count)])
     tracemalloc.start()
     try:
-        _, runs, blocks, _, steps = codec._tables(ts)
+        _, runs, blocks, steps = codec._tables(ts)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -416,50 +446,47 @@ def test_codec_slots_are_allocated_per_tree_on_first_store():
     assert [k for k, slots in enumerate(blocks)
             if slots is not no_blocks] == [0, 4]
     assert type(blocks[0]) is list and len(blocks[0]) == 256
-    # the first peek's suffix walk passes every tree of the loop
+    # each peek's walk stops at the run bound, so the trees given a step
+    # table are the 10 decoded and those a run from one of them reaches
+    met = [table for table in steps if table is not None]
+    assert 0 < len(met) <= codec._CHUNK_BITS + 10
     assert all(type(table) is list and len(table) == 1 << codec._RUN_BITS
-               for table in steps)
+               for table in met)
 
 
 def check_run_cache(ts):
-    """Stored and memoized runs agree with a plain walk over their bits.
+    """Stored runs agree with a plain walk over their peeks.
 
-    A stored run ``runs[k][peek]`` is keyed by (k, peek width, peek) and
-    a memoized suffix run by its own (tree, bit count, bits).  Each must
-    hold the symbols, as bytes on an alphabet of at most 256 symbols and
-    as a tuple on a wider one, the longest lookahead (0 for no symbols),
-    the bits used and the end tree of the walk from its tree over its
-    bits.  Where the walk's next symbol still ends inside the bits, the
-    run must have stopped at a (tree, bit count) state that the walk
-    meets again: a cycle of empty codewords.  Every step table built is
-    the one of the peek width.
+    A stored run ``runs[k][peek]`` must hold the symbols, as bytes on an
+    alphabet of at most 256 symbols and as a tuple on a wider one, the
+    longest lookahead (0 for no symbols), the bits used and the end tree
+    of the walk from tree k over the peek's bits.  The run stops only
+    where the walk's next step leaves the peek, or at the bound of
+    ``_CHUNK_BITS`` symbols.  Every step table built is the one of the
+    peek width.
     """
     width = codec._RUN_BITS
-    _, runs, _, suffixes, tables = ts._codec
+    bound = codec._CHUNK_BITS
+    _, runs, _, tables = ts._codec
     for k, table in enumerate(tables):
         assert table is None or table == codec._step_table(
             ts.rows, [None] * ts.tree_count, k, width)
-    cached = [((k, width, peek), run) for k, slots in enumerate(runs)
-              for peek, run in enumerate(slots) if run is not None]
-    cached += suffixes.items()
-    for (k, n, value), run in cached:
-        syms, longest, used, end = run or (run_symbols(ts)(), 0, 0, k)
-        assert type(syms) is run_symbols(ts)
-        walk = steps_inside(ts, k, BitString(value, n))
-        steps = list(itertools.islice(walk, len(syms)))
-        assert tuple(a for a, _, _, _ in steps) == tuple(syms), (k, n, value)
-        assert max((q for _, q, _, _ in steps), default=0) == longest
-        assert sum(clen for _, _, clen, _ in steps) == used
-        assert (steps[-1][3] if steps else k) == end
-        # the walk goes on past the run only around a cycle, which comes
-        # back to the (tree, bits left) state the run ended at
-        left = n - used
-        later = []
-        for _, _, clen, point in itertools.islice(
-                walk, ts.tree_count * (n + 1)):
-            left -= clen
-            later.append((point, left))
-        assert not later or (end, n - used) in later, (k, n, value)
+    for k, slots in enumerate(runs):
+        for peek, run in enumerate(slots):
+            if run is None:
+                continue
+            syms, longest, used, end = run or (run_symbols(ts)(), 0, 0, k)
+            assert type(syms) is run_symbols(ts)
+            assert len(syms) <= bound
+            walk = steps_inside(ts, k, BitString(peek, width))
+            steps = list(itertools.islice(walk, len(syms) + 1))
+            # the step past the run, if any, is cut off by the bound
+            assert len(steps) == len(syms) or len(syms) == bound, (k, peek)
+            steps = steps[:len(syms)]
+            assert tuple(a for a, _, _, _ in steps) == tuple(syms), (k, peek)
+            assert max((q for _, q, _, _ in steps), default=0) == longest
+            assert sum(clen for _, _, clen, _ in steps) == used
+            assert (steps[-1][3] if steps else k) == end
 
 
 @settings(deadline=None)
@@ -471,11 +498,20 @@ def test_run_cache_matches_a_plain_walk(rng):
     elif pick < 0.4:
         # one symbol per tree under the mode {''}, and a path of trees
         # that ends in a loop: where the loop's codewords are all empty,
-        # it is a cycle that never leaves the bits
-        count = rng.randint(1, 5)
-        ts = CodeTreeSet([tree([""], [(rng.choice(["", "", "0", "10"]),
+        # it is a cycle that never leaves the bits.  Half of these draws
+        # take 29 to 60 trees, about one of them reading '0', with a loop
+        # back to one of the first four: a peek of zeros there passes up
+        # to K * (8 + 1) > _CHUNK_BITS states at width 8, so a run can
+        # stop at the bound with no cycle inside the peek
+        if rng.random() < 0.5:
+            count = rng.randint(1, 5)
+            words, loop = ["", "", "0", "10"], count
+        else:
+            count = rng.randint(29, 60)
+            words, loop = [""] * count + ["0"], 4
+        ts = CodeTreeSet([tree([""], [(rng.choice(words),
                                        i + 1 if i + 1 < count
-                                       else rng.randrange(count))])
+                                       else rng.randrange(loop))])
                           for i in range(count)])
     else:
         ts = random_valid_tree_set(rng)
@@ -487,14 +523,17 @@ def test_run_cache_matches_a_plain_walk(rng):
                             clean.length)
     n = rng.randint(0, 200)
     streams = [clean, flipped, clean.prefix(rng.randint(0, clean.length)),
-               BitString(rng.getrandbits(n) if n else 0, n)]
+               BitString(rng.getrandbits(n) if n else 0, n), BitString(0, n)]
+    expected = [decode_outcome(decode_oracle, ts, stream, len(msg) + 1)
+                for stream in streams]
     # each peek width gets a fresh set: the run table is cached on it
     for width in (1, 3, 8, 16):
         fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codec, "_RUN_BITS", width)
-            for stream in streams:
-                decode_outcome(decode, fresh, stream, len(msg) + 1)
+            got = [decode_outcome(decode, fresh, stream, len(msg) + 1)
+                   for stream in streams]
+            assert got == expected, width
             check_run_cache(fresh)
 
 
