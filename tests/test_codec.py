@@ -390,8 +390,8 @@ def test_long_paths_of_empty_codewords_decode_in_bounded_work():
     # over to the next, tree 2999 reads '0' and returns to tree 0, and
     # every mode is {'0'}, so a peek of zeros decides 3000 symbols per
     # bit, K * (width + 1) in all, with no cycle inside the peek.  A run
-    # stops at its bound of symbols, so neither set costs work or memory
-    # in proportion to its 3000 trees
+    # stops at its bound of symbols, so a short decode does not walk
+    # either loop first, and no run holds K * (width + 1) symbols
     count = 3000
     chain = [tree([""], [("", (i + 1) % count)]) for i in range(count)]
     line = [tree(["0"], [("" if i + 1 < count else "0", (i + 1) % count)])
