@@ -29,10 +29,13 @@ bits.  The innermost mode member open at an expanded word is the
 lookahead the decoder needs for it, so the same sweep yields the
 decoding delay.  The sweep runs on the set's integer rows
 (``CodeTreeSet.rows``), built with the set, where every word is a
-(length, value) pair: "direct" tests prefixes on those pairs,
-"interval" compares both ends of their integer intervals on the inner
-word's scale, and the two methods agree on every input and produce
-identical reports.  The encoder and decoder read the same rows.
+(length, value) pair.  Each tree's sweep order is sorted once per set,
+by whichever method runs first, and kept with the set for its life, so
+both methods sweep the same entries and differ only in the
+containment test: "direct" tests prefixes on those pairs, "interval"
+compares both ends of their integer intervals on the inner word's
+scale.  The two agree on every input and produce identical reports.
+The encoder and decoder read the same rows.
 
 A report is a named tuple, ``ValidationReport(method, violations,
 delay)``, that is ``ok`` when it holds no violations; each violation
@@ -94,10 +97,16 @@ class CodeTreeSet:
     pairs by their bits left-aligned to whole bytes and compares two
     of them at the longer one's length, never at the tree's longest,
     so its memory is linear in the words' bits.
+
+    Three private slots cache what is derived from the rows:
+    ``_reports`` maps a validation method to its last report;
+    ``_sweep`` holds each tree's sorted sweep entries, built by the
+    first ``validate`` call of either method and swept by both for the
+    set's life; ``_codec`` is the codec's tables, written only there.
     """
 
     __slots__ = ("trees", "symbols", "tree_names", "queries", "rows",
-                 "_reports", "_codec")
+                 "_reports", "_sweep", "_codec")
 
     def __init__(self, trees, symbols=None, tree_names=None):
         trees = tuple(trees)
@@ -136,7 +145,8 @@ class CodeTreeSet:
                                                      tree.points)))
             for tree in trees]
         self._reports = {}
-        self._codec = None  # the codec's cache, written only there
+        self._sweep = None
+        self._codec = None
 
     @property
     def tree_count(self):
@@ -198,6 +208,35 @@ def reachable_trees(tree_set):
     return seen
 
 
+def _sweep_order(tree_set):
+    """Each tree's sweep entries in interval order, sorted once per set.
+
+    An entry is (left-aligned bytes, length, symbol, index, value):
+    mode member i of the tree, as symbol -1, or expanded word i of
+    symbol a, ``(clen + qlen, cval << qlen | qval)`` for member i
+    ``(qlen, qval)`` of its successor's mode.  The order is kept in
+    the set's ``_sweep`` slot, so whichever method runs first builds
+    it and both sweep it.
+    """
+    order = tree_set._sweep
+    if order is None:
+        queries = tree_set.queries
+        # a symbol's expansions share its codeword, so index order is
+        # (length, value) order; bytes compare as zero-padded numbers,
+        # the shorter word first on equal bytes, and as symbol -1 mode
+        # members sort ahead of equal expanded words
+        order = tree_set._sweep = [
+            sorted(((value << (-length & 7)).to_bytes((length + 7) >> 3,
+                                                     "big"),
+                    length, a, i, value)
+                   for a, clen, cval, _, follow in [(-1, 0, 0, k, queries[k]),
+                                                    *row]
+                   for i, (qlen, qval) in enumerate(follow)
+                   for length, value in ((clen + qlen, cval << qlen | qval),))
+            for k, row in enumerate(tree_set.rows)]
+    return order
+
+
 def validate(tree_set, method="direct"):
     """Check decodability; the report lists every violation found.
 
@@ -207,13 +246,16 @@ def validate(tree_set, method="direct"):
     longest interval first: the key is a word's bits left-aligned to
     whole bytes, which compare as zero-padded numbers, then its length,
     so a word comes before its extensions and mode members ahead of
-    equal expanded words.  Dyadic intervals are nested or disjoint, so
+    equal expanded words.  That order is sorted once per set, by
+    whichever method runs first, and kept with the set for its life;
+    both methods sweep it.  Dyadic intervals are nested or disjoint, so
     the entries left on a stack that contain the current one are
     exactly its prefixes: each expanded word of another symbol among
     them is an overlap, and the current word is covered iff a mode
     member is among them.  The longest open one is the lookahead that
     confirms the word, and the most over all trees is ``delay``.
-    "direct" tests containment as the prefix relation on
+    The methods differ only in the containment test, made inline on
+    every compare: "direct" tests the prefix relation on
     (length, value) pairs; "interval" checks that the outer word is no
     longer and that both ends of its interval, shifted to the inner
     word's scale, enclose the inner one.  The reports are identical
@@ -229,18 +271,7 @@ def validate(tree_set, method="direct"):
     """
     if method not in VALIDATION_METHODS:
         raise ValueError(f"unknown validation method {method!r}")
-    # entries are (left-aligned bytes, length, symbol or -1 for a mode
-    # member, index, value)
-    if method == "direct":
-        def contains(outer, inner):
-            return outer[1] <= inner[1] and \
-                inner[4] >> (inner[1] - outer[1]) == outer[4]
-    else:
-        def contains(outer, inner):
-            d = inner[1] - outer[1]
-            return d >= 0 and \
-                outer[4] << d <= inner[4] < (outer[4] + 1) << d
-
+    direct = method == "direct"
     violations = []
     seen = reachable_trees(tree_set)
     for k in range(tree_set.tree_count):
@@ -249,55 +280,46 @@ def validate(tree_set, method="direct"):
                 "unreachable", k, (), (),
                 f"tree {k} cannot be reached from tree 0"))
     delay = 0
-    queries = tree_set.queries
     names = tree_set.symbols
-    for k, row in enumerate(tree_set.rows):
-        # a symbol's expansions share its codeword, so they come in the
-        # (length, value) order of its successor's mode members
-        exp = [[(clen + qlen, cval << qlen | qval) for qlen, qval in follow]
-               for _, clen, cval, _, follow in row]
-        # bytes compare as zero-padded numbers, the shorter word first
-        # on equal bytes; as symbol -1, mode members sort ahead of equal
-        # expanded words
-        entries = sorted(
-            ((value << (-length & 7)).to_bytes((length + 7) >> 3, "big"),
-             length, a, i, value)
-            for a, words in enumerate([queries[k]] + exp, -1)
-            for i, (length, value) in enumerate(words))
+    for k, entries in enumerate(_sweep_order(tree_set)):
         overlaps = []
         uncovered = []
         stack = []
         modes = []  # lengths of the mode members open on the stack
         for entry in entries:
-            while stack and not contains(stack[-1], entry):
+            _, n, a, i, v = entry
+            while stack:
+                _, on, _, _, ov = stack[-1]
+                if on <= n and (v >> (n - on) == ov if direct else
+                                ov << (n - on) <= v < (ov + 1) << (n - on)):
+                    break
                 if stack.pop()[2] < 0:
                     modes.pop()
-            a, i = entry[2], entry[3]
             if a < 0:
-                modes.append(entry[1])
+                modes.append(n)
             else:
                 for outer in stack:
-                    b, j = outer[2], outer[3]
+                    b = outer[2]
                     if b > a:
-                        overlaps.append((a, b, i, j))
+                        overlaps.append((a, b, i, outer[3], entry, outer))
                     elif 0 <= b < a:
-                        overlaps.append((b, a, j, i))
+                        overlaps.append((b, a, outer[3], i, outer, entry))
                 if not modes:
-                    uncovered.append((a, i))
+                    uncovered.append((a, i, entry))
                 elif modes[-1] > delay:
                     delay = modes[-1]
             stack.append(entry)
         overlaps.sort()
-        for a, b, i, j in overlaps:
-            w1, w2 = pair_text(*exp[a][i]), pair_text(*exp[b][j])
+        for a, b, _, _, e1, e2 in overlaps:
+            w1, w2 = pair_text(e1[1], e1[4]), pair_text(e2[1], e2[4])
             na, nb = names[a], names[b]
             violations.append(Violation(
                 "overlap", k, (na, nb), (w1, w2),
                 f"tree {k}: expanded codewords {w1!r} ({na}) and "
                 f"{w2!r} ({nb}) are comparable"))
         uncovered.sort()
-        for a, i in uncovered:
-            w = pair_text(*exp[a][i])
+        for a, _, entry in uncovered:
+            w = pair_text(entry[1], entry[4])
             na = names[a]
             violations.append(Violation(
                 "coverage", k, (na,), (w,),

@@ -13,9 +13,9 @@ from hypothesis import (Phase, example, find, given, settings,
 
 from aifv.bitstring import BitString, is_prefix, strip_prefix
 from aifv import codetree
-from aifv.codetree import (CodeTree, CodeTreeSet, check_delay_budget,
-                           decoding_delay, is_full, reachable_trees,
-                           validate)
+from aifv.codetree import (VALIDATION_METHODS, CodeTree, CodeTreeSet,
+                           check_delay_budget, decoding_delay, is_full,
+                           reachable_trees, validate)
 from aifv.errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                          Unvalidated)
 from aifv import examples
@@ -318,9 +318,15 @@ def arbitrary_tree_sets(draw):
 
 
 def assert_reports_match_oracle(ts):
+    # two fresh copies, one validated direct first and one interval
+    # first, so neither method leans on the other having built the
+    # set's sweep order
     expected = tuple(validate_oracle(ts))
-    assert validate(ts, "direct").violations \
-        == validate(ts, "interval").violations == expected
+    for methods in (VALIDATION_METHODS, VALIDATION_METHODS[::-1]):
+        fresh = CodeTreeSet(ts.trees, ts.symbols, ts.tree_names)
+        first, second = (validate(fresh, m) for m in methods)
+        assert first.violations == second.violations == expected
+        assert first.delay == second.delay
 
 
 @settings(deadline=None)
@@ -442,6 +448,29 @@ def test_sweep_order_matches_scaled_interval_order(words):
                        e[2]))
     # sweep entries are (bytes, length, symbol, index, value)
     assert [(e[1], e[4], e[2]) for e in swept] == expected
+
+
+@pytest.mark.parametrize("methods", [VALIDATION_METHODS,
+                                     VALIDATION_METHODS[::-1]])
+def test_each_tree_is_sorted_once_for_both_methods(methods):
+    sets = [examples.binary_delay3_set(), examples.ternary_full_set(),
+            examples.skewed_delay3_set(), broken_variant()]
+    for ts in sets:
+        swept = []
+
+        def spy(entries):
+            swept.append(sorted(entries))
+            return swept[-1]
+
+        with mock.patch.object(codetree, "sorted", spy, create=True):
+            first, second = (validate(ts, m) for m in methods)
+        assert len(swept) == ts.tree_count
+        # sort k held tree k's entries: its mode members are the ones
+        # of symbol -1
+        assert [sorted((e[1], e[4]) for e in entries if e[2] < 0)
+                for entries in swept] == [list(q) for q in ts.queries]
+        assert first.violations == second.violations
+        assert first.delay == second.delay
 
 
 # a tree of 4095 12-bit codewords, and the last 12-bit word extended by
