@@ -4,9 +4,10 @@ The encoder walks the trees, concatenating codewords, and finishes by
 appending a termination word: the shortest member of the final tree's
 mode (ties broken lexicographically, 0 before 1).  Any member would do,
 because the mode lists exactly the ways a stream from that tree may
-continue; the shortest keeps the output minimal.  It collects bits in a
-small accumulator and flushes whole bytes to a buffer, so its cost is
-linear in the output length.
+continue; the shortest keeps the output minimal.  Its cost is linear in
+the output length: blocks of four symbols are kept as '0'/'1' text and
+read as one integer at the end, and single symbols are collected in a
+small accumulator that flushes whole bytes to a buffer.
 
 The decoder is driven by the same structure in reverse.  Sitting at
 tree k with some bits in hand, symbol a is confirmed once Cword_k(a)
@@ -36,14 +37,16 @@ extended to several symbols per lookup.
   ``_RUN_BITS``-bit peek, the run of symbols the peek decides, and on
   a later visit emits the whole run at once.  On a skewed source,
   where most symbols cost 0 or 1 bits, one lookup emits about ten
-  symbols.  A new peek's run is built by one walk over the peek's
-  bits, which stops where the next codeword and its lookahead would
-  leave them, or after ``_CHUNK_BITS`` symbols: that bound caps the
-  work of a missed peek, whatever the number of trees, and ends cycles
-  of empty codewords, which never leave the peek.  Each step of the
-  walk is one lookup in the tree's step table: per peek, the symbol
-  whose codeword and shortest fitting lookahead begin it, filled by
-  ranges from the tree's rows the first time a walk reaches the tree.
+  symbols, and an inner loop applies stored runs back to back, one
+  lookup each, while the window holds them.  A new peek's run is built
+  by one walk over the peek's bits, which stops where the next
+  codeword and its lookahead would leave them, or after
+  ``_CHUNK_BITS`` symbols: that bound caps the work of a missed peek,
+  whatever the number of trees, and ends cycles of empty codewords,
+  which never leave the peek.  Each step of the walk is one lookup in
+  the tree's step table: per peek, the symbol whose codeword and
+  shortest fitting lookahead begin it, filled by ranges from the
+  tree's rows the first time a walk reaches the tree.
   A tree gets its own run slots when its first run is stored; on a
   tree none of whose expanded words fits in the peek, every peek
   stores the empty run, so its symbols keep the plain walk.  On
@@ -53,8 +56,10 @@ extended to several symbols per lookup.
   they end in: a block of the set's 4-symbol extension, a
   variable-to-variable code with a fixed parse.  On an alphabet of at
   most four symbols, four 2-bit ids fill one byte, so the encoder
-  caches, per tree and byte, the block's bits and end tree, and emits
-  four symbols per lookup.  Wider alphabets keep the per-symbol walk.
+  caches, per tree and byte, the block's bits as text and its end
+  tree, and emits four symbols per lookup and one list append; one
+  join and one ``int(text, 2)`` turn the texts into the body.  Wider
+  alphabets keep the per-symbol walk.
 
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
@@ -79,10 +84,10 @@ from typing import NamedTuple
 from .bitstring import BitString
 from .errors import NoMatch, SymbolOutOfRange, Truncated
 
-# the encoder flushes its accumulator's whole bytes once it holds this
-# many bits, and the decoder refills its window in steps of the same
-# size, so the integers both loops shift and mask stay small; a
-# decoder run holds at most this many symbols
+# the encoder's per-symbol walk flushes its accumulator's whole bytes
+# once it holds this many bits, and the decoder refills its window in
+# steps of the same size, so the integers both loops shift and mask
+# stay small; a decoder run holds at most this many symbols
 _CHUNK_BITS = 256
 # the decoder peeks at this many stream bits and caches, per tree and
 # peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
@@ -93,12 +98,15 @@ _RUN_BITS = 8
 def _tables(tree_set):
     """The set's codec cache: ``(reach, runs, blocks, steps)``.
 
-    ``runs[k][peek]`` is the decoder's run for a peek at tree k, and
-    ``blocks[k][key]`` the encoder's block for four symbols packed into
-    the byte ``key``, or None while unseen.  Every tree's run slots, and
-    likewise its block slots, start as one all-None tuple shared by the
-    set's trees; a tree gets its own list at its first stored run or
-    block, so a set of many trees pays only for the trees met.
+    ``runs[k][peek]`` is the decoder's run ``(symbols, symbol count,
+    longest lookahead, bits used, end tree)`` for a peek at tree k, or
+    ``()`` where the peek decides no symbol, and ``blocks[k][key]`` the
+    encoder's block ``(text, end tree)`` for four symbols packed into
+    the byte ``key``; either is None while unseen.  Every tree's run
+    slots, and likewise its block slots, start as one all-None tuple
+    shared by the set's trees; a tree gets its own list at its first
+    stored run or block, so a set of many trees pays only for the trees
+    met.
     ``blocks`` is None on alphabets of more than four symbols.
     ``steps[k]`` is tree k's step table (see ``_step_table``), or None
     until the decoder first needs it; none is built here, because the
@@ -191,20 +199,23 @@ class EncodeResult(NamedTuple):
 def _encode_body(tree_set, symbols):
     """The body bits of ``symbols`` and the tree the walk ends in.
 
-    Codewords are shifted into ``acc``; once it holds ``_CHUNK_BITS``
-    bits, its whole bytes go to ``out`` (MSB first, the
-    ``formats.write_bitstream`` layout) and at most 7 bits stay behind.
-    One ``int.from_bytes`` at the end joins the buffer, so the cost is
-    linear in the body length.
-
     On an alphabet of at most four symbols, a list, tuple or bytes
     ``symbols`` whose ids all lie in the alphabet is encoded four at a
     time: block j's ids, ``data[4j:4j+4]``, are packed two bits each
     into the byte ``key``, first id lowest, and ``blocks[k][key]`` holds
-    the block's ``(length, value, end tree)`` from tree k, walked and
-    stored on the first visit.  The per-symbol walk then encodes the
-    last ``len(data) % 4`` ids.  Any other input takes the walk alone,
-    which raises at the first id that is not an int inside the alphabet.
+    the block's ``(text, end tree)`` from tree k, ``text`` being its
+    bits as '0'/'1' characters, walked and stored on the first visit.
+    The loop appends each block's text to a list; one ``"".join`` and
+    one ``int(text, 2)``, both linear in the body length, make the
+    blocks' bits the start of the accumulator ``acc``.
+
+    The per-symbol walk then encodes the last ``len(data) % 4`` ids, or
+    any other input alone, raising at the first id that is not an int
+    inside the alphabet.  Codewords are shifted into ``acc``; once it
+    holds ``_CHUNK_BITS`` bits, its whole bytes go to ``out`` (MSB
+    first, the ``formats.write_bitstream`` layout) and at most 7 bits
+    stay behind.  One ``int.from_bytes`` at the end joins the buffer, so
+    the cost is linear in the body length.
     """
     rows = tree_set.rows
     m = len(rows[0])
@@ -227,6 +238,8 @@ def _encode_body(tree_set, symbols):
             # 2-bit field of byte 4j, where every other field is zero
             x = int.from_bytes(data[:full], "little")
             keys = (x | x >> 6 | x >> 12 | x >> 18).to_bytes(full, "little")
+            texts = []
+            put = texts.append
             for key in keys[::4]:
                 block = blocks[k][key]
                 if block is None:
@@ -236,14 +249,15 @@ def _encode_body(tree_set, symbols):
                     _, l3, v3, point, _ = rows[point][key >> 6]
                     if type(blocks[k]) is tuple:
                         blocks[k] = [None] * 256
+                    # the top bit keeps the leading zeros; '' for no bits
+                    value = ((v0 << l1 | v1) << l2 | v2) << l3 | v3
                     block = blocks[k][key] = (
-                        l0 + l1 + l2 + l3,
-                        ((v0 << l1 | v1) << l2 | v2) << l3 | v3, point)
-                length, value, k = block
-                acc = (acc << length) | value
-                acc_len += length
-                if acc_len >= _CHUNK_BITS:
-                    acc, acc_len = _spill(out, acc, acc_len)
+                        bin(value | 1 << (l0 + l1 + l2 + l3))[3:], point)
+                text, k = block
+                put(text)
+            text = "".join(texts)
+            acc = int(text, 2) if text else 0
+            acc_len = len(text)
             symbols = data[full:]
     for x in symbols:
         if not 0 <= x < m:
@@ -320,13 +334,24 @@ def _decode(tree_set, bits, length):
     ``_codec`` slot, so the peek width is fixed for the life of the
     set.  A step that has ``_RUN_BITS`` bits in the window peeks at
     them and looks the peek up in the current tree's run slots.  A
-    stored run that fits in the symbols still wanted is applied at
-    once: its symbols, bits and final tree, and its longest lookahead,
+    stored run ``(symbols, count, longest lookahead, bits used, end
+    tree)`` whose count fits in the symbols still wanted is applied at
+    once: its symbols, bits and end tree, and its longest lookahead,
     one compare against ``longest``, the decode's own.  Otherwise the
     step confirms one symbol with ``_confirm`` over the bits left in
     the window, ``avail`` of them past the current position; the bits
     of ``win`` before the position are already consumed, and
     ``_confirm`` ignores them.
+
+    Once a run applies, an inner loop applies the stored runs after it,
+    one lookup each, with no refill test: ``shift`` is the next peek's
+    offset in ``win``, and the loop runs while the window holds a whole
+    peek past the position (``shift >= 0``) and each run fits in the
+    ``left`` symbols still wanted.  A stored run depends on its peek's
+    bits alone, so it needs no more of the window.  A missed or empty
+    peek, a run too long or a short window ends the loop, and the next
+    step refills the window if it must and takes that peek as above, so
+    every plain step and every missed peek still sees a full window.
 
     A peek met for the first time builds its run with one walk from
     the tree over the peek's bits.  With ``used`` of them consumed,
@@ -398,11 +423,12 @@ def _decode(tree_set, bits, length):
                     used += clen
                     if qlen > look:
                         look = qlen
-                run = (seq(syms), look, used, end) if syms else ()
+                run = (seq(syms), len(syms), look, used, end) if syms \
+                    else ()
                 if type(runs[k]) is tuple:
                     runs[k] = [None] * (1 << peek_bits)
                 runs[k][peek] = run
-        if not run or len(run[0]) > length - i:
+        if not run or run[1] > length - i:
             step = _confirm(rows[k], avail, win)
             if step is None:
                 suffix = win & ((1 << avail) - 1)
@@ -427,10 +453,24 @@ def _decode(tree_set, bits, length):
             k = point
             i += 1
             continue
-        syms, look, used, k = run
-        out += syms
-        if look > longest:
-            longest = look
-        i += len(syms)
-        pos += used
+        # the run fits; it and the stored runs after it apply here, one
+        # lookup each, until a peek misses, stores no symbols or holds
+        # more than are wanted, or the window holds no whole peek
+        shift = avail - peek_bits
+        left = length - i
+        while shift >= 0:
+            run = runs[k][(win >> shift) & mask]
+            if not run:
+                break
+            syms, n, look, used, end = run
+            if n > left:
+                break
+            out += syms
+            if look > longest:
+                longest = look
+            left -= n
+            shift -= used
+            k = end
+        pos = wend - peek_bits - shift
+        i = length - left
     return out, longest, pos

@@ -256,14 +256,55 @@ def test_round_trip_exhaustive_on_examples():
                 seen[result.bits] = seq
 
 
+def body_oracle(ts, symbols):
+    """The body text and final tree of ``symbols``, by walking the trees."""
+    words = []
+    k = 0
+    for x in symbols:
+        words.append(ts.trees[k].cwords[x].text())
+        k = ts.trees[k].points[x]
+    return "".join(words), k
+
+
 def test_long_message_crosses_chunk_boundary():
-    ts = examples.binary_delay3_set()
     rng = random.Random(SEED + 1)
-    seq = [rng.randrange(2) for _ in range(6000)]
-    result = encode(ts, seq)
-    assert result.body_len > 4096  # forces the accumulator to flush
-    trace = decode(ts, result.bits, len(seq))
-    assert trace.symbols == tuple(seq)
+    # two symbols: the blocks of four give one long text, and the walk
+    # then shifts the last 3 symbols onto it; six symbols: the walk
+    # alone, flushing its accumulator many times
+    for ts, m, n in [(examples.binary_delay3_set(), 2, 6003),
+                     (random_valid_tree_set(rng, symbol_count=6), 6, 6000)]:
+        seq = [rng.randrange(m) for _ in range(n)]
+        result = encode(ts, seq)
+        assert result.body_len > 8 * codec._CHUNK_BITS
+        assert result.bits.text() == encode_oracle(ts, seq)
+        trace = decode(ts, result.bits, len(seq))
+        assert trace.symbols == tuple(seq)
+        assert trace.bits_consumed == result.body_len
+
+
+def test_empty_blocks_encode_to_no_bits():
+    # the one-symbol set whose only codeword is empty, a cycle of five
+    # trees whose blocks of four are empty or hold one '1', and the
+    # running example, whose 'a' at tree 0 is empty
+    rng = random.Random(SEED + 5)
+    for make in [lambda: CodeTreeSet([tree([""], [("", 0)])]),
+                 lambda: CodeTreeSet([
+                     tree([""], [("1" if i == 4 else "", (i + 1) % 5)])
+                     for i in range(5)]),
+                 examples.binary_delay3_set]:
+        warm = make()
+        m = warm.symbol_count
+        msgs = [[rng.randrange(m) for _ in range(n)] for n in range(13)]
+        # each message cold on a fresh set, then all of them twice on
+        # one set, the second time from stored blocks
+        for ts, msg in [(make(), msg) for msg in msgs] + \
+                [(warm, msg) for msg in msgs + msgs]:
+            result = encode(ts, msg)
+            body, k = body_oracle(ts, msg)
+            assert result.body_len == len(body)
+            assert result.bits.text() == encode_oracle(ts, msg)
+            assert result.bits == result.body + result.termination
+            assert result.final_tree == k
 
 
 def test_lookahead_reflects_shortest_matching_query():
@@ -458,9 +499,9 @@ def check_run_cache(ts):
     """Stored runs agree with a plain walk over their peeks.
 
     A stored run ``runs[k][peek]`` must hold the symbols, as bytes on an
-    alphabet of at most 256 symbols and as a tuple on a wider one, the
-    longest lookahead (0 for no symbols), the bits used and the end tree
-    of the walk from tree k over the peek's bits.  The run stops only
+    alphabet of at most 256 symbols and as a tuple on a wider one, their
+    count, the longest lookahead (0 for no symbols), the bits used and
+    the end tree of the walk from tree k over the peek's bits.  The run stops only
     where the walk's next step leaves the peek, or at the bound of
     ``_CHUNK_BITS`` symbols.  Every step table built is the one of the
     peek width.
@@ -475,9 +516,10 @@ def check_run_cache(ts):
         for peek, run in enumerate(slots):
             if run is None:
                 continue
-            syms, longest, used, end = run or (run_symbols(ts)(), 0, 0, k)
+            syms, count, longest, used, end = \
+                run or (run_symbols(ts)(), 0, 0, 0, k)
             assert type(syms) is run_symbols(ts)
-            assert len(syms) <= bound
+            assert count == len(syms) <= bound
             walk = steps_inside(ts, k, BitString(peek, width))
             steps = list(itertools.islice(walk, len(syms) + 1))
             # the step past the run, if any, is cut off by the bound
@@ -660,6 +702,31 @@ def test_trees_without_a_short_expanded_word_store_only_empty_runs():
         assert () in slots[k]
         assert all(run is None or run == () for run in slots[k])
     assert any(slots[1])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_runs_stop_at_the_symbols_wanted(warm):
+    # every count of the last 300 of a 3000-symbol message: the runs
+    # applied back to back must stop where the next one would hold more
+    # symbols than are left, at every offset of the end in a run
+    rng = random.Random(SEED + 6)
+    msg = rng.choices(range(4), weights=examples.skewed_distribution(),
+                      k=3000)
+    ts = examples.skewed_delay3_set()
+    stream = encode(ts, msg).bits
+    first = len(msg) - 300
+    # a prefix's longest lookahead grows with its length; this message
+    # reaches its longest before the first count checked
+    longest = decode_oracle(ts, stream, first).max_lookahead
+    assert decode_oracle(ts, stream, len(msg)).max_lookahead == longest
+    if warm:
+        decode(ts, stream, len(msg))
+    for n in range(first, len(msg) + 1):
+        trace = decode(ts if warm else examples.skewed_delay3_set(),
+                       stream, n)
+        assert trace.symbols == tuple(msg[:n])
+        assert trace.bits_consumed == encode(ts, msg[:n]).body_len
+        assert trace.max_lookahead == longest
 
 
 def test_decode_is_linear_in_stream_length():
