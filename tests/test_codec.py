@@ -271,9 +271,9 @@ def test_long_message_crosses_chunk_boundary():
     # two symbols: the blocks of four give one long text, and the walk
     # then shifts the last 3 symbols onto it; six symbols: the walk
     # alone, flushing its accumulator many times
-    for ts, m, n in [(examples.binary_delay3_set(), 2, 6003),
-                     (random_valid_tree_set(rng, symbol_count=6), 6, 6000)]:
-        seq = [rng.randrange(m) for _ in range(n)]
+    for ts, n in [(examples.binary_delay3_set(), 6003),
+                  (random_valid_tree_set(rng, symbol_count=6), 6000)]:
+        seq = [rng.randrange(ts.symbol_count) for _ in range(n)]
         result = encode(ts, seq)
         assert result.body_len > 8 * codec._CHUNK_BITS
         assert result.bits.text() == encode_oracle(ts, seq)
@@ -501,10 +501,10 @@ def check_run_cache(ts):
     A stored run ``runs[k][peek]`` must hold the symbols, as bytes on an
     alphabet of at most 256 symbols and as a tuple on a wider one, their
     count, the longest lookahead (0 for no symbols), the bits used and
-    the end tree of the walk from tree k over the peek's bits.  The run stops only
-    where the walk's next step leaves the peek, or at the bound of
-    ``_CHUNK_BITS`` symbols.  Every step table built is the one of the
-    peek width.
+    the end tree of the walk from tree k over the peek's bits.  The run
+    stops only where the walk's next step leaves the peek, or at the
+    bound of ``_CHUNK_BITS`` symbols.  Every step table built is the one
+    of the peek width.
     """
     width = codec._RUN_BITS
     bound = codec._CHUNK_BITS
