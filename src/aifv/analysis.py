@@ -18,7 +18,11 @@ in order, each from the tree the one before it ended in.  A set of one
 tree just sums its lengths, and a set of more than eight trees, where
 stepping from every tree costs more than it saves, keeps the walk.
 The bits are summed as integers over the same draws, so the rate
-equals the per-symbol walk's exactly.
+equals the per-symbol walk's exactly.  The draws are
+``Generator.choice``'s, computed through a guide table of 2^12 cells
+over its cumulative distribution; a draw whose cell holds a cdf
+boundary is recounted by ``searchsorted``, as ``choice`` counts every
+draw.
 
 numpy is imported inside the functions that compute a rate, so
 importing the package, and every CLI command but ``analyze``, does not
@@ -39,6 +43,9 @@ from .errors import DimensionMismatch
 # symbols one at a time; neither size changes the rate
 MC_BLOCK = 1 << 16
 MC_CHUNK = 32
+# the draws read a guide table of this many cells over [0, 1); a power
+# of two, so a draw's cell is exact
+MC_GUIDE = 1 << 12
 
 
 def _check_probabilities(dist):
@@ -69,11 +76,15 @@ def transition_matrix(tree_set, dist):
     import numpy as np
     dist = _check_dist(tree_set, dist)
     n = tree_set.tree_count
-    matrix = np.zeros((n, n))
-    for k, row in enumerate(tree_set.rows):
+    # float additions in row order, as numpy's own += would make them,
+    # without a numpy scalar per symbol
+    matrix = []
+    for row in tree_set.rows:
+        hops = [0.0] * n
         for a, _, _, point, _ in row:
-            matrix[k, point] += dist[a]
-    return matrix
+            hops[point] += dist[a]
+        matrix.append(hops)
+    return np.array(matrix)
 
 
 def stationary(matrix):
@@ -158,8 +169,45 @@ def entropy(dist):
     return -sum(p * math.log2(p) for p in dist if p > 0)
 
 
+def _draw_blocks(rng, dist, n_symbols):
+    """``rng.choice(len(dist), n_symbols, p=dist)`` in blocks of MC_BLOCK.
+
+    ``Generator.choice`` returns ``cdf.searchsorted(rng.random(size),
+    side='right')`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``.  A guide
+    table (Chen & Asau, 1974) gives the same indices: ``bounds[c]`` is
+    the search's answer for ``c / MC_GUIDE``, and scaling by a power of
+    two is exact, so a draw u in cell ``c = floor(u * MC_GUIDE)`` lies
+    in ``[c / MC_GUIDE, (c + 1) / MC_GUIDE)`` and its answer lies
+    between ``bounds[c]`` and ``bounds[c + 1]``.  Where those differ, a
+    cdf boundary falls in the cell and the draw is searched for again.
+    The generator advances by the same ``random(size)`` calls, so the
+    blocks join into one stream.
+    """
+    import numpy as np
+    cdf = np.cumsum(dist)
+    cdf /= cdf[-1]
+    bounds = cdf.searchsorted(np.arange(MC_GUIDE + 1) / MC_GUIDE,
+                              side="right")
+    split = bounds[1:] != bounds[:-1]
+    for start in range(0, n_symbols, MC_BLOCK):
+        u = rng.random(min(MC_BLOCK, n_symbols - start))
+        cell = (u * MC_GUIDE).astype(np.intp)
+        draws = bounds[cell]
+        again = np.flatnonzero(split[cell])
+        draws[again] = cdf.searchsorted(u[again], side="right")
+        yield draws
+
+
 def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
-    """Empirical body bits per symbol over one random i.i.d. sequence."""
+    """Empirical body bits per symbol over one random i.i.d. sequence.
+
+    The draws are ``numpy.random.default_rng(seed).choice(m, n_symbols,
+    p=dist)``, computed through a guide table of ``MC_GUIDE`` cells, in
+    which a draw whose cell holds a cdf boundary is searched for again
+    (``_draw_blocks``).  ``test_draws_equal_generator_choice`` and a CI
+    step on each supported Python compare the draws with numpy's own
+    ``choice``, so a numpy that draws differently fails there.
+    """
     import numpy as np
     tree_set.ensure_valid()
     dist = _check_dist(tree_set, dist)
@@ -167,7 +215,6 @@ def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
         raise ValueError("sample size must be non-negative")
     if n_symbols == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
     m = len(dist)
     trees = tree_set.tree_count
     lengths = [[clen for _, clen, _, _, _ in row] for row in tree_set.rows]
@@ -179,9 +226,8 @@ def monte_carlo_rate(tree_set, dist, n_symbols, seed=0):
     offsets = np.arange(0, trees * m, m)[:, None]
     bits = 0
     k = 0
-    for start in range(0, n_symbols, MC_BLOCK):
-        size = min(MC_BLOCK, n_symbols - start)
-        draws = rng.choice(m, size=size, p=dist)
+    for draws in _draw_blocks(np.random.default_rng(seed), dist, n_symbols):
+        size = len(draws)
         if trees == 1:
             bits += int(flat_lengths[draws].sum())
             continue

@@ -432,6 +432,20 @@ def stationary_oracle(matrix):
     return pi
 
 
+def transition_matrix_oracle(tree_set, dist):
+    """The matrix ``transition_matrix`` must return, one numpy entry at
+    a time: each symbol's probability is added into the entry of its
+    tree and successor, in symbol order, by numpy's own ``+=``.
+    """
+    import numpy as np
+    n = tree_set.tree_count
+    matrix = np.zeros((n, n))
+    for k, tree in enumerate(tree_set.trees):
+        for a, point in enumerate(tree.points):
+            matrix[k, point] += float(dist[a])
+    return matrix
+
+
 def mc_oracle(tree_set, dist, n_symbols, seed=0):
     """The rate ``monte_carlo_rate`` must return, one symbol at a time.
 

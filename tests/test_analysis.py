@@ -1,5 +1,6 @@
 """Markov-chain rate analysis: matrices, stationary vectors, rates."""
 
+import random
 import time
 
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -16,7 +17,8 @@ from aifv.transform import import_aifvm
 from aifv import examples
 
 from conftest import (bits, closed_classes_oracle, mc_oracle,
-                      random_valid_tree_set, stationary_oracle)
+                      random_valid_tree_set, stationary_oracle,
+                      transition_matrix_oracle)
 
 UNIFORM2 = [0.5, 0.5]
 
@@ -333,6 +335,76 @@ def test_monte_carlo_matches_per_symbol_walk(n, rng):
     seed = rng.randrange(1000)
     assert monte_carlo_rate(ts, dist, n, seed=seed) \
         == mc_oracle(ts, dist, n, seed=seed)
+
+
+def _first_uniform(seed):
+    """The first ``random()`` of a seed, as a probability in (0, 1)."""
+    return float(np.random.default_rng(seed).random())
+
+
+# the seed's first uniform is the distribution's first cdf value, so the
+# first draw lands exactly on a boundary and only side='right' counts
+# it as choice does
+EDGE_SEED = 4
+CROWDED = [1.0] * 3 + [1e-6] * 250 + [1.0] * 3
+DRAW_DISTS = {
+    "one": [1.0],
+    "halves": [0.5, 0.5],
+    # every cdf value is a cell edge
+    "cell-edges": [0.25, 0.25, 0.5],
+    "zero-first": [0.0, 0.3, 0.7],
+    "zero-middle": [0.3, 0.0, 0.0, 0.7],
+    "zero-last": [0.6, 0.4, 0.0],
+    # 250 boundaries crowd into the cells around 1/2
+    "crowded": [w / sum(CROWDED) for w in CROWDED],
+    "on-a-draw": [_first_uniform(EDGE_SEED), 1 - _first_uniform(EDGE_SEED)],
+    "on-a-draw-zeros": [0.0, _first_uniform(EDGE_SEED), 0.0,
+                        1 - _first_uniform(EDGE_SEED)],
+}
+DRAW_SIZES = [0, 1, 4095,
+              analysis.MC_BLOCK - 1, analysis.MC_BLOCK, analysis.MC_BLOCK + 1]
+
+
+def check_draws(dist, size, seed):
+    rng = np.random.default_rng(seed)
+    blocks = list(analysis._draw_blocks(rng, dist, size))
+    want = np.random.default_rng(seed)
+    assert [x for block in blocks for x in block.tolist()] \
+        == want.choice(len(dist), size, p=dist).tolist()
+    assert all(len(block) <= analysis.MC_BLOCK for block in blocks)
+    # the generator is left where choice leaves it
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("size", DRAW_SIZES)
+@pytest.mark.parametrize("dist", DRAW_DISTS.values(), ids=DRAW_DISTS)
+def test_draws_equal_generator_choice(dist, size):
+    for seed in (EDGE_SEED, 9):
+        check_draws(dist, size, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_draws_equal_generator_choice_on_generated_sets(rng):
+    _, dist = mc_case(rng)
+    check_draws(dist, rng.choice([1, 4095, rng.randint(0, 3000)]),
+                rng.randrange(1000))
+
+
+def test_transition_matrix_is_the_entrywise_sum():
+    # the M=256 sets send nearly every symbol to a tree of two, in an
+    # order of addition that changes the sum's last bits
+    rng = random.Random(5)
+    cases = [mc_case(rng) for _ in range(200)]
+    for _ in range(20):
+        ts = random_valid_tree_set(rng, max_trees=2, symbol_count=256)
+        weights = [rng.random() for _ in range(256)]
+        cases.append((ts, [w / sum(weights) for w in weights]))
+    for ts, dist in cases:
+        got = transition_matrix(ts, dist)
+        want = transition_matrix_oracle(ts, dist)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_monte_carlo_exact_on_constant_length_code():
