@@ -337,15 +337,11 @@ def test_monte_carlo_matches_per_symbol_walk(n, rng):
         == mc_oracle(ts, dist, n, seed=seed)
 
 
-def _first_uniform(seed):
-    """The first ``random()`` of a seed, as a probability in (0, 1)."""
-    return float(np.random.default_rng(seed).random())
-
-
-# the seed's first uniform is the distribution's first cdf value, so the
-# first draw lands exactly on a boundary and only side='right' counts
-# it as choice does
+# the seed's first uniform is a cdf value of the on-a-draw
+# distributions, so their first draw lands exactly on a boundary and
+# only side='right' counts it as choice does
 EDGE_SEED = 4
+EDGE = float(np.random.default_rng(EDGE_SEED).random())
 CROWDED = [1.0] * 3 + [1e-6] * 250 + [1.0] * 3
 DRAW_DISTS = {
     "one": [1.0],
@@ -357,9 +353,8 @@ DRAW_DISTS = {
     "zero-last": [0.6, 0.4, 0.0],
     # 250 boundaries crowd into the cells around 1/2
     "crowded": [w / sum(CROWDED) for w in CROWDED],
-    "on-a-draw": [_first_uniform(EDGE_SEED), 1 - _first_uniform(EDGE_SEED)],
-    "on-a-draw-zeros": [0.0, _first_uniform(EDGE_SEED), 0.0,
-                        1 - _first_uniform(EDGE_SEED)],
+    "on-a-draw": [EDGE, 1 - EDGE],
+    "on-a-draw-zeros": [0.0, EDGE, 0.0, 1 - EDGE],
 }
 DRAW_SIZES = [0, 1, 4095,
               analysis.MC_BLOCK - 1, analysis.MC_BLOCK, analysis.MC_BLOCK + 1]
