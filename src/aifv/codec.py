@@ -6,8 +6,8 @@ mode (ties broken lexicographically, 0 before 1).  Any member would do,
 because the mode lists exactly the ways a stream from that tree may
 continue; the shortest keeps the output minimal.  Its cost is linear in
 the output length: blocks of four symbols are kept as '0'/'1' text and
-read as one integer at the end, and single symbols are collected in a
-small accumulator that flushes whole bytes to a buffer.
+read as one integer per slice of blocks, and single symbols are
+collected in a small accumulator; both flush whole bytes to a buffer.
 
 The decoder is driven by the same structure in reverse.  Sitting at
 tree k with some bits in hand, symbol a is confirmed once Cword_k(a)
@@ -58,8 +58,8 @@ extended to several symbols per lookup.
   most four symbols, four 2-bit ids fill one byte, so the encoder
   caches, per tree and byte, the block's bits as text and its end
   tree, and emits four symbols per lookup and one list append; one
-  join and one ``int(text, 2)`` turn the texts into the body.  Wider
-  alphabets keep the per-symbol walk.
+  join and one ``int(text, 2)`` per ``_SLICE_BLOCKS`` blocks turn the
+  texts into body bytes.  Wider alphabets keep the per-symbol walk.
 
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
@@ -89,6 +89,9 @@ from .errors import NoMatch, SymbolOutOfRange, Truncated
 # steps of the same size, so the integers both loops shift and mask
 # stay small; a decoder run holds at most this many symbols
 _CHUNK_BITS = 256
+# the encoder turns its block texts into bits this many blocks at a
+# time, so it holds at most one slice of the body as text
+_SLICE_BLOCKS = 512
 # the decoder peeks at this many stream bits and caches, per tree and
 # peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
 # for a set of K trees
@@ -205,14 +208,17 @@ def _encode_body(tree_set, symbols):
     into the byte ``key``, first id lowest, and ``blocks[k][key]`` holds
     the block's ``(text, end tree)`` from tree k, ``text`` being its
     bits as '0'/'1' characters, walked and stored on the first visit.
-    The loop appends each block's text to a list; one ``"".join`` and
-    one ``int(text, 2)``, both linear in the body length, make the
-    blocks' bits the start of the accumulator ``acc``.
+    The loop appends each block's text to a list, ``_SLICE_BLOCKS``
+    blocks at a time; one ``"".join`` and one ``int(text, 2)`` per
+    slice, both linear in its length, shift the slice's bits into the
+    accumulator ``acc``, whose whole bytes go to ``out`` before the
+    next slice starts.  So at most one slice of the body is held as
+    text, one byte per bit, and a body of one slice is never spilled.
 
     The per-symbol walk then encodes the last ``len(data) % 4`` ids, or
     any other input alone, raising at the first id that is not an int
     inside the alphabet.  Codewords are shifted into ``acc``; once it
-    holds ``_CHUNK_BITS`` bits, its whole bytes go to ``out`` (MSB
+    holds ``_CHUNK_BITS`` bits, its whole bytes go to ``out`` too (MSB
     first, the ``formats.write_bitstream`` layout) and at most 7 bits
     stay behind.  One ``int.from_bytes`` at the end joins the buffer, so
     the cost is linear in the body length.
@@ -238,26 +244,29 @@ def _encode_body(tree_set, symbols):
             # 2-bit field of byte 4j, where every other field is zero
             x = int.from_bytes(data[:full], "little")
             keys = (x | x >> 6 | x >> 12 | x >> 18).to_bytes(full, "little")
-            texts = []
-            put = texts.append
-            for key in keys[::4]:
-                block = blocks[k][key]
-                if block is None:
-                    _, l0, v0, point, _ = rows[k][key & 3]
-                    _, l1, v1, point, _ = rows[point][key >> 2 & 3]
-                    _, l2, v2, point, _ = rows[point][key >> 4 & 3]
-                    _, l3, v3, point, _ = rows[point][key >> 6]
-                    if type(blocks[k]) is tuple:
-                        blocks[k] = [None] * 256
-                    # the top bit keeps the leading zeros; '' for no bits
-                    value = ((v0 << l1 | v1) << l2 | v2) << l3 | v3
-                    block = blocks[k][key] = (
-                        bin(value | 1 << (l0 + l1 + l2 + l3))[3:], point)
-                text, k = block
-                put(text)
-            text = "".join(texts)
-            acc = int(text, 2) if text else 0
-            acc_len = len(text)
+            for start in range(0, full, 4 * _SLICE_BLOCKS):
+                if start:
+                    acc, acc_len = _spill(out, acc, acc_len)
+                texts = []
+                put = texts.append
+                for key in keys[start:start + 4 * _SLICE_BLOCKS:4]:
+                    block = blocks[k][key]
+                    if block is None:
+                        _, l0, v0, point, _ = rows[k][key & 3]
+                        _, l1, v1, point, _ = rows[point][key >> 2 & 3]
+                        _, l2, v2, point, _ = rows[point][key >> 4 & 3]
+                        _, l3, v3, point, _ = rows[point][key >> 6]
+                        if type(blocks[k]) is tuple:
+                            blocks[k] = [None] * 256
+                        # the top bit keeps leading zeros; '' for no bits
+                        value = ((v0 << l1 | v1) << l2 | v2) << l3 | v3
+                        block = blocks[k][key] = (
+                            bin(value | 1 << (l0 + l1 + l2 + l3))[3:], point)
+                    text, k = block
+                    put(text)
+                text = "".join(texts)
+                acc = acc << len(text) | int(text or "0", 2)
+                acc_len += len(text)
             symbols = data[full:]
     for x in symbols:
         if not 0 <= x < m:

@@ -28,8 +28,11 @@ bytes, then its length, so memory stays linear in the words' own
 bits.  The innermost mode member open at an expanded word is the
 lookahead the decoder needs for it, so the same sweep yields the
 decoding delay.  The sweep runs on the set's integer rows
-(``CodeTreeSet.rows``), built with the set, where every word is a
-(length, value) pair.  Each tree's sweep order is sorted once per set,
+(``CodeTreeSet.rows``), where every word is a (length, value) pair.
+A set is built from its rows (``CodeTreeSet.from_pairs``); its
+``CodeTree``s are a view, made from the rows on first access, that
+the validator, the codec and the document layer never read.  Each
+tree's sweep order is sorted once per set,
 by whichever method runs first, and kept with the set for its life, so
 both methods sweep the same entries and differ only in the
 containment test: "direct" tests prefixes on those pairs, "interval"
@@ -46,10 +49,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitstring import EMPTY, BitString, pair_text
+from .bitstring import BitString, pair_text
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
-from .wordset import reduce as reduce_words
+from .wordset import reduce_pairs
 
 VALIDATION_METHODS = ("direct", "interval")
 
@@ -85,7 +88,7 @@ def _default_names(m):
 class CodeTreeSet:
     """A dense, closed family of code trees sharing one alphabet.
 
-    The set also carries its integer view, shared by the validator and
+    The set is built from its integer rows, shared by the validator and
     the codec.  ``queries[k]`` lists tree k's mode members as
     ``(len, value)`` pairs sorted as tuples, so shortest first and the
     longest last.
@@ -98,6 +101,13 @@ class CodeTreeSet:
     of them at the longer one's length, never at the tree's longest,
     so its memory is linear in the words' bits.
 
+    ``CodeTreeSet(trees, ...)`` reads its ``CodeTree``s once into
+    pairs and builds the rows as ``from_pairs`` does, which the
+    document parser and ``transform.to_basic`` call directly.
+    ``trees`` is a view: the given trees, or ``CodeTree``s made from
+    the rows on first access; nothing in the codec, the validator or
+    the document writer reads it.
+
     Three private slots cache what is derived from the rows:
     ``_reports`` maps a validation method to its last report;
     ``_sweep`` holds each tree's sorted sweep entries, built by the
@@ -105,20 +115,41 @@ class CodeTreeSet:
     set's life; ``_codec`` is the codec's tables, written only there.
     """
 
-    __slots__ = ("trees", "symbols", "tree_names", "queries", "rows",
+    __slots__ = ("_trees", "symbols", "tree_names", "queries", "rows",
                  "_reports", "_sweep", "_codec")
 
     def __init__(self, trees, symbols=None, tree_names=None):
         trees = tuple(trees)
-        if not trees:
+        self._build([([(w.length, w.value) for w in tree.cwords],
+                      tree.points, [(q.length, q.value) for q in tree.mode])
+                     for tree in trees], symbols, tree_names)
+        self._trees = trees
+
+    @classmethod
+    def from_pairs(cls, tables, symbols=None, tree_names=None):
+        """The set whose tree k is ``tables[k] = (cwords, points, mode)``.
+
+        ``cwords`` holds one ``(length, value)`` pair per symbol,
+        ``points`` one successor per symbol and ``mode`` the tree's
+        members as pairs, in any order and possibly repeated; each list
+        is as ``CodeTree`` accepts it.  The set's dimensions and
+        successors are checked as ``CodeTreeSet(trees)`` checks them.
+        """
+        tree_set = cls.__new__(cls)
+        tree_set._build(tables, symbols, tree_names)
+        return tree_set
+
+    def _build(self, tables, symbols, tree_names):
+        if not tables:
             raise InvalidSet("a code-tree set needs at least one tree")
-        m = len(trees[0].cwords)
-        for k, tree in enumerate(trees):
-            if len(tree.cwords) != m:
+        m = len(tables[0][0])
+        count = len(tables)
+        for k, (cwords, points, _) in enumerate(tables):
+            if len(cwords) != m:
                 raise DimensionMismatch(
-                    f"tree {k} has {len(tree.cwords)} symbols, tree 0 has {m}")
-            for a, point in enumerate(tree.points):
-                if not 0 <= point < len(trees):
+                    f"tree {k} has {len(cwords)} symbols, tree 0 has {m}")
+            for a, point in enumerate(points):
+                if not 0 <= point < count:
                     raise IndexOutOfRange(
                         f"tree {k} sends symbol {a} to missing tree {point}")
         if symbols is None:
@@ -130,27 +161,37 @@ class CodeTreeSet:
                     f"{len(symbols)} symbol names for {m} symbols")
         if tree_names is not None:
             tree_names = tuple(tree_names)
-            if len(tree_names) != len(trees):
+            if len(tree_names) != count:
                 raise DimensionMismatch(
-                    f"{len(tree_names)} tree names for {len(trees)} trees")
-        self.trees = trees
+                    f"{len(tree_names)} tree names for {count} trees")
         self.symbols = symbols
         self.tree_names = tree_names
-        self.queries = queries = [
-            tuple(sorted((q.length, q.value) for q in tree.mode))
-            for tree in trees]
+        self.queries = queries = [tuple(sorted(set(mode)))
+                                  for _, _, mode in tables]
         self.rows = [
-            tuple((a, w.length, w.value, point, queries[point])
-                  for a, (w, point) in enumerate(zip(tree.cwords,
-                                                     tree.points)))
-            for tree in trees]
+            tuple([(a, clen, cval, point, queries[point])
+                   for a, ((clen, cval), point) in enumerate(zip(cwords,
+                                                                 points))])
+            for cwords, points, _ in tables]
+        self._trees = None
         self._reports = {}
         self._sweep = None
         self._codec = None
 
     @property
+    def trees(self):
+        """The set's ``CodeTree``s, made from the rows on first access."""
+        if self._trees is None:
+            self._trees = tuple(CodeTree(
+                [BitString(v, n) for _, n, v, _, _ in row],
+                [point for _, _, _, point, _ in row],
+                [BitString(v, n) for n, v in members])
+                for row, members in zip(self.rows, self.queries))
+        return self._trees
+
+    @property
     def tree_count(self):
-        return len(self.trees)
+        return len(self.rows)
 
     @property
     def symbol_count(self):
@@ -352,15 +393,11 @@ def is_full(tree_set):
     as ``validate`` reads them.
     """
     tree_set.ensure_valid()
-    if tree_set.trees[0].mode != frozenset([EMPTY]):
-        return False
-    for tree, row in zip(tree_set.trees, tree_set.rows):
-        flat = [BitString(cval << qlen | qval, clen + qlen)
-                for _, clen, cval, _, follow in row
-                for qlen, qval in follow]
-        if reduce_words(tree.mode) != reduce_words(flat):
-            return False
-    return True
+    return tree_set.queries[0] == ((0, 0),) and all(
+        reduce_pairs(members) == reduce_pairs(
+            [(clen + qlen, cval << qlen | qval)
+             for _, clen, cval, _, follow in row for qlen, qval in follow])
+        for row, members in zip(tree_set.rows, tree_set.queries))
 
 
 def check_delay_budget(tree_set, n):

@@ -18,7 +18,10 @@ CLI subcommand reads and writes:
 
 ``dumps_document`` renders any document dict canonically (sorted keys,
 two-space indent, trailing newline), so writing a parsed canonical file
-reproduces it byte for byte.
+reproduces it byte for byte.  Both directions run on the set's integer
+rows: ``parse_tree_set`` reads each word's text straight into a
+(length, value) pair and builds the set from those pairs, and
+``tree_set_to_doc`` writes the rows back as text.
 
 Encoded payloads travel in a small binary container: the magic bytes
 "AIFV", a format version byte, the symbol count and bit count as
@@ -32,22 +35,34 @@ import json
 import struct
 
 from .bitstring import BitString, pair_text
-from .codetree import CodeTree, CodeTreeSet
+from .codetree import CodeTreeSet
 from .errors import AifvError, FormatError
 from .transform import VVCodeTable
 
 MAGIC = b"AIFV"
 VERSION = 1
 _HEADER = struct.Struct("<QQ")
+# deletes the bits from a text, so only what is not a bit is left
+_NOT_BITS = str.maketrans("", "", "01")
+
+
+def _word_pairs(words, where):
+    """The (length, value) pairs of a list of '0'/'1' texts."""
+    # one check of the joined text, since int() alone would also take
+    # '0b1', '1_0' and blanks; a failure names the first bad word
+    try:
+        if not "".join(words).translate(_NOT_BITS):
+            return [(len(w), int(w or "0", 2)) for w in words]
+    except TypeError:
+        pass
+    bad = next(w for w in words
+               if not isinstance(w, str) or w.translate(_NOT_BITS))
+    raise FormatError(f"{where}: expected a string of bits, got {bad!r}")
 
 
 def _bits_from_text(text, where):
-    if isinstance(text, str):
-        try:
-            return BitString.from_text(text)
-        except ValueError:
-            pass
-    raise FormatError(f"{where}: expected a string of bits, got {text!r}")
+    (length, value), = _word_pairs([text], where)
+    return BitString(value, length)
 
 
 def _check_symbol_names(names):
@@ -109,7 +124,12 @@ def tree_set_to_doc(tree_set):
 
 
 def parse_tree_set(doc):
-    """Build a CodeTreeSet from a document dict; FormatError on misuse."""
+    """Build a CodeTreeSet from a document dict; FormatError on misuse.
+
+    The set is built from its rows: each word is read straight from its
+    text into a (length, value) pair, and no ``BitString`` or
+    ``CodeTree`` is made.
+    """
     if "trees" not in _object(doc) or not isinstance(doc["trees"], list) \
             or not doc["trees"]:
         raise FormatError("document needs a non-empty 'trees' list")
@@ -140,7 +160,7 @@ def parse_tree_set(doc):
             raise FormatError("tree names must be unique")
     by_name = {n: k for k, n in enumerate(names) if n is not None}
 
-    trees = []
+    tables = []
     for k, entry in enumerate(doc["trees"]):
         where = f"tree {k}"
         mode = entry.get("mode")
@@ -168,11 +188,10 @@ def parse_tree_set(doc):
                 raise FormatError(f"{where}: tree reference {target!r} "
                                   f"out of range")
             points.append(target)
-        words = [_bits_from_text(w, f"{where} codewords") for w in cwords]
-        members = [_bits_from_text(w, f"{where} mode") for w in mode]
-        trees.append(CodeTree(words, points, members))
+        tables.append((_word_pairs(cwords, f"{where} codewords"), points,
+                       _word_pairs(mode, f"{where} mode")))
     tree_names = tuple(names) if names[0] is not None else None
-    return CodeTreeSet(trees, symbols, tree_names)
+    return CodeTreeSet.from_pairs(tables, symbols, tree_names)
 
 
 def parse_distribution(doc):

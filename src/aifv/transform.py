@@ -6,7 +6,8 @@ Three sources are covered:
   common prefix).  The rewrite moves each mode's common prefix across
   the tree boundary: the bits every stream from tree k must start with
   are emitted by the predecessor instead, which shortens the encoded
-  stream without changing what can be decoded.
+  stream without changing what can be decoded.  It reads the set's
+  integer rows and builds the new set from (length, value) pairs.
 
 * ``vv_to_tree_set`` turns a variable-to-variable code table (parse
   tree plus per-sequence codewords) into a code-tree set with one tree
@@ -36,7 +37,7 @@ from .bitstring import (EMPTY, BitString, is_prefix,
 from .codec import encode
 from .codetree import CodeTree, CodeTreeSet, _failure, validate
 from .errors import DepthExceeded, NormalizationFailed, StructureViolation
-from .wordset import common_prefix, reduce as reduce_words, to_basic_mode
+from .wordset import basic_pairs, reduce as reduce_words
 
 
 def to_basic(tree_set):
@@ -49,17 +50,27 @@ def to_basic(tree_set):
     same body bits up to termination; otherwise that constant prefix is
     dropped from the front of every encoding, since it carries no
     information.
+
+    It runs on the set's rows: the heads, the stripped codewords and
+    the reduced, stripped modes (``wordset.basic_pairs``) are
+    (length, value) pairs, and the new set is built from them with
+    ``CodeTreeSet.from_pairs``, so no ``BitString`` or ``CodeTree`` is
+    made.
     """
     tree_set.ensure_valid()
-    heads = [common_prefix(tree.mode) for tree in tree_set.trees]
-    new_trees = []
-    for k, tree in enumerate(tree_set.trees):
-        mode = to_basic_mode(tree.mode)
-        # coverage makes every stream from tree k start with heads[k]
-        cwords = [strip_prefix(heads[k], w + heads[point])
-                  for w, point in zip(tree.cwords, tree.points)]
-        new_trees.append(CodeTree(cwords, tree.points, mode))
-    return CodeTreeSet(new_trees, tree_set.symbols, tree_set.tree_names)
+    heads, modes = zip(*map(basic_pairs, tree_set.queries))
+    tables = []
+    for row, (length, _), mode in zip(tree_set.rows, heads, modes):
+        cwords = []
+        for _, clen, cval, point, _ in row:
+            # coverage makes every stream from the tree start with its
+            # head, so n is never negative
+            plen, pval = heads[point]
+            n = clen + plen - length
+            cwords.append((n, (cval << plen | pval) & ((1 << n) - 1)))
+        tables.append((cwords, [point for _, _, _, point, _ in row], mode))
+    return CodeTreeSet.from_pairs(tables, tree_set.symbols,
+                                  tree_set.tree_names)
 
 
 def equivalent_up_to_termination(set_a, set_b, max_len=5):

@@ -13,14 +13,16 @@ input, and is the canonical representative used when comparing modes.
 
 ``reduce`` and ``is_prefix_free`` sweep the members once, sorted as
 '0'/'1' text: that is interval order, each word before its extensions.
+``reduce_pairs`` and ``basic_pairs`` are ``reduce`` and
+``to_basic_mode`` on bare (length, value) pairs, the form code-tree
+sets keep their words in; the ``BitString`` functions wrap them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bitstring import (BitString, is_prefix, longest_common_prefix,
-                        strip_prefix)
+from .bitstring import BitString, is_prefix, pair_text
 from .errors import CapExceeded, InvalidSet
 
 # enumerate_basic_modes is super-exponential in n; 3 covers practical use
@@ -36,14 +38,10 @@ def _as_set(words):
 
 def common_prefix(words):
     """The longest string that is a prefix of every member."""
-    ws = _as_set(words)
-    it = iter(ws)
-    acc = next(it)
-    for w in it:
-        if acc.length == 0:
-            break
-        acc = longest_common_prefix(acc, w)
-    return acc
+    # reducing a set keeps its common prefix (see ``basic_pairs``)
+    (length, value), _ = basic_pairs((w.length, w.value)
+                                     for w in _as_set(words))
+    return BitString(value, length)
 
 
 def is_prefix_free(words):
@@ -60,20 +58,16 @@ def in_full_closure(words, prefix):
     return any(is_prefix(r, prefix) for r in reduce(words))
 
 
-def reduce(words):
-    """The minimal elements of the full-prefix closure.
+def reduce_pairs(pairs):
+    """``reduce`` on (length, value) pairs, as a list in text order.
 
-    The result is prefix-free and its closure equals the closure of the
-    input.  If the input covers every infinite sequence the result is
-    the singleton containing the empty string.
-
-    One pass in text order keeps the result so far on a stack of
-    (length, value) pairs.  A member under the top is skipped; a right
-    child whose left sibling is the top merges with it into the parent.
+    One pass in '0'/'1' text order keeps the result so far on a stack
+    of pairs: a member under the top, or a repeat, is skipped, and a
+    right child whose left sibling is the top merges with it into the
+    parent.
     """
     out = []
-    for w in sorted(_as_set(words), key=BitString.text):
-        length, value = w.length, w.value
+    for length, value in sorted(pairs, key=lambda p: pair_text(*p)):
         if out:
             top_length, top_value = out[-1]
             if top_length <= length and \
@@ -83,7 +77,38 @@ def reduce(words):
             out.pop()
             length, value = length - 1, value >> 1
         out.append((length, value))
-    return frozenset(BitString(value, length) for length, value in out)
+    return out
+
+
+def reduce(words):
+    """The minimal elements of the full-prefix closure.
+
+    The result is prefix-free and its closure equals the closure of the
+    input.  If the input covers every infinite sequence the result is
+    the singleton containing the empty string.
+    """
+    return frozenset(BitString(value, length) for length, value in
+                     reduce_pairs((w.length, w.value) for w in _as_set(words)))
+
+
+def basic_pairs(pairs):
+    """``to_basic_mode`` on (length, value) pairs: (head, members).
+
+    ``head`` is the common prefix of the reduced pairs, the prefix of
+    their first and last in text order, and ``members`` lists them, in
+    that order, with it stripped.  Reducing keeps the common prefix:
+    dropping an extension of a member or merging two siblings into
+    their parent leaves it as it was.
+    """
+    reduced = reduce_pairs(pairs)
+    (first_length, first), (last_length, last) = reduced[0], reduced[-1]
+    n = min(first_length, last_length)
+    first >>= first_length - n
+    # the highest differing bit and every bit below it are cut off
+    d = (first ^ last >> (last_length - n)).bit_length()
+    n -= d
+    return (n, first >> d), [(length - n, value & ((1 << (length - n)) - 1))
+                             for length, value in reduced]
 
 
 def to_basic_mode(words):
@@ -93,9 +118,8 @@ def to_basic_mode(words):
     shape near the root: it is prefix-free, has empty common prefix, and
     is invariant under further reduction.
     """
-    reduced = reduce(words)
-    head = common_prefix(reduced)
-    return frozenset(strip_prefix(head, w) for w in reduced)
+    _, members = basic_pairs((w.length, w.value) for w in _as_set(words))
+    return frozenset(BitString(value, length) for length, value in members)
 
 
 def enumerate_basic_modes(n):

@@ -5,17 +5,18 @@ re-derive prefix-closure facts from exact Fraction interval covering,
 so a bug in the fast paths cannot hide behind itself.
 """
 
+import functools
 import struct
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from aifv import examples
-from aifv.bitstring import BitString
+from aifv.bitstring import BitString, longest_common_prefix, strip_prefix
 from aifv.codec import DecodeTrace
 from aifv.codetree import CodeTree, CodeTreeSet, Violation, reachable_trees
 from aifv.errors import FormatError, NoMatch, StructureViolation, Truncated
-from aifv.formats import parse_conventional
+from aifv.formats import parse_conventional, tree_set_to_doc
 from aifv.transform import _assemble, import_aifv2, import_aifvm
 from aifv.wordset import reduce
 
@@ -366,6 +367,68 @@ def mutate_tree_set(rng, tree_set):
         mode.add(BitString(rng.getrandbits(n), n))
     trees[k] = CodeTree(cwords, points, mode)
     return CodeTreeSet(trees, tree_set.symbols)
+
+
+def varied_doc(rng, tree_set):
+    """``tree_set``'s document, spelled as a hand-written one may be.
+
+    Mode members come in random order with one repeated; half the time
+    the trees carry names that some 'next' entries use, and half the
+    time the alphabet is a bare symbol count (the sets here use the
+    default names).
+    """
+    doc = tree_set_to_doc(tree_set)
+    named = rng.random() < 0.5
+    for k, entry in enumerate(doc["trees"]):
+        rng.shuffle(entry["mode"])
+        entry["mode"].append(rng.choice(entry["mode"]))
+        if named:
+            entry["name"] = f"T{k}"
+            entry["next"] = [f"T{p}" if rng.random() < 0.5 else p
+                             for p in entry["next"]]
+    if rng.random() < 0.5:
+        doc["alphabet"] = len(doc["alphabet"])
+    return doc
+
+
+def parse_oracle(doc):
+    """The set a well-formed document names, built through ``CodeTree``s.
+
+    Every word goes through ``BitString.from_text``, each 'next' name
+    to its tree's index, and the trees into ``CodeTreeSet(trees, ...)``.
+    """
+    names = [entry.get("name") for entry in doc["trees"]]
+    by_name = {name: k for k, name in enumerate(names)}
+    alphabet = doc["alphabet"]
+    trees = [CodeTree([bits(w) for w in entry["codewords"]],
+                      [by_name.get(p, p) for p in entry["next"]],
+                      [bits(q) for q in entry["mode"]])
+             for entry in doc["trees"]]
+    return CodeTreeSet(trees, None if isinstance(alphabet, int) else alphabet,
+                       None if names[0] is None else names)
+
+
+def to_basic_oracle(tree_set):
+    """``transform.to_basic`` as written on ``CodeTree``s and bit strings.
+
+    Tree k's head is the common prefix of its mode.  Each codeword gets
+    its successor's head appended and its own tree's head stripped,
+    and each mode is reduced (by ``reduce_oracle``) and loses the
+    common prefix of what is left.
+    """
+    tree_set.ensure_valid()
+    trees = tree_set.trees
+    heads = [functools.reduce(longest_common_prefix, tree.mode)
+             for tree in trees]
+    new_trees = []
+    for k, tree in enumerate(trees):
+        reduced = reduce_oracle(tree.mode)
+        head = functools.reduce(longest_common_prefix, reduced)
+        new_trees.append(CodeTree(
+            [strip_prefix(heads[k], w + heads[point])
+             for w, point in zip(tree.cwords, tree.points)],
+            tree.points, [strip_prefix(head, w) for w in reduced]))
+    return CodeTreeSet(new_trees, tree_set.symbols, tree_set.tree_names)
 
 
 def _solve_exact(a, b):

@@ -755,3 +755,35 @@ def test_encode_is_linear_in_stream_length():
     assert result.bits.length == 1000 * len(msg)
     assert trace.symbols == tuple(msg)
     assert elapsed < 1.0, f"the round trip took {elapsed:.2f} s"
+
+
+def test_long_encode_memory_is_linear_in_body_bytes():
+    # the 20 Mbit encode above; its block texts, one byte per bit, are
+    # turned into bits a slice at a time, so the peak stays a small
+    # multiple of the body's own bytes
+    ts = CodeTreeSet([tree([""], [("0" * 1000, 0), ("1" * 1000, 0)])])
+    rng = random.Random(SEED + 3)
+    msg = [rng.randrange(2) for _ in range(20_000)]
+    encode(ts, msg[:4])
+    tracemalloc.start()
+    try:
+        result = encode(ts, msg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    body_bytes = result.body_len // 8
+    assert body_bytes == 2_500_000
+    assert peak < 5 * body_bytes, \
+        f"peak {peak / 1e6:.1f} MB for a {body_bytes / 1e6:.1f} MB body"
+
+
+def test_encoder_slices_join_into_the_oracle_stream():
+    blocks = 4 * codec._SLICE_BLOCKS
+    rng = random.Random(SEED + 11)
+    for ts in (examples.skewed_delay3_set(), examples.binary_delay3_set(),
+               examples.ternary_full_set(),
+               # every block is empty, so every slice joins as no bits
+               CodeTreeSet([tree([""], [("", 0)])])):
+        for n in (blocks - 1, blocks, blocks + 1, 2 * blocks + 3):
+            msg = [rng.randrange(ts.symbol_count) for _ in range(n)]
+            assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aifv.bitstring import BitString
-from aifv.codetree import CodeTreeSet, check_delay_budget, validate
+from aifv.codetree import CodeTree, CodeTreeSet, check_delay_budget, validate
 from aifv.errors import FormatError
 from aifv.formats import (dumps_document, loads_document, parse_conventional,
                           parse_distribution, parse_tree_set, parse_vv_table,
@@ -17,7 +17,8 @@ from aifv.transform import to_basic
 from aifv import examples
 
 from conftest import (bits, doc_oracle, json_values, mutate_tree_set,
-                      random_valid_tree_set, small_headers)
+                      parse_oracle, random_valid_tree_set, small_headers,
+                      to_basic_oracle, varied_doc)
 
 SEED = 20240816
 
@@ -62,6 +63,60 @@ def test_writer_and_delay_budget_match_tree_oracles(rng):
         longest = max(q.length for t in plain.trees for q in t.mode)
         for n in range(longest + 2):
             assert check_delay_budget(plain, n) == (longest <= n)
+
+
+def row_view(ts):
+    return ts.rows, ts.queries, ts.symbols, ts.tree_names
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.randoms(use_true_random=False))
+def test_sets_parsed_as_rows_match_sets_built_from_trees(rng):
+    ts = random_valid_tree_set(rng)
+    for source in (ts, mutate_tree_set(rng, ts)):
+        doc = varied_doc(rng, source)
+        parsed = parse_tree_set(doc)
+        oracle = parse_oracle(doc)
+        assert row_view(parsed) == row_view(oracle)
+        # the trees view is made from the rows and builds them again
+        again = CodeTreeSet(parsed.trees, parsed.symbols, parsed.tree_names)
+        assert row_view(again) == row_view(parsed)
+        for mine, theirs in zip(parsed.trees, oracle.trees):
+            assert (mine.cwords, mine.points, mine.mode) \
+                == (theirs.cwords, theirs.points, theirs.mode)
+        written = dumps_document(tree_set_to_doc(parsed))
+        assert written == dumps_document(tree_set_to_doc(oracle)) \
+            == dumps_document(doc_oracle(parsed))
+        if validate(parsed).ok:
+            basic, want = to_basic(parsed), to_basic_oracle(oracle)
+            assert row_view(basic) == row_view(want)
+            assert dumps_document(tree_set_to_doc(basic)) \
+                == dumps_document(doc_oracle(want))
+
+
+def test_row_path_builds_no_bit_string_and_no_tree(monkeypatch):
+    rng = random.Random(SEED + 7)
+    docs = [tree_set_to_doc(examples.skewed_delay3_set()),
+            tree_set_to_doc(mutate_tree_set(rng, examples.binary_delay3_set()))]
+    docs += [varied_doc(rng, random_valid_tree_set(rng)) for _ in range(20)]
+    made = []
+    for cls in (BitString, CodeTree):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    valid = 0
+    for doc in docs:
+        ts = parse_tree_set(doc)
+        direct, interval = validate(ts, "direct"), validate(ts, "interval")
+        assert direct == interval._replace(method="direct")
+        if direct.ok:
+            valid += 1
+            dumps_document(tree_set_to_doc(to_basic(ts)))
+    assert valid >= 2 and made == []
+    # the spies do count
+    CodeTree([BitString(0, 1)], [0], [BitString()])
+    assert made == ["BitString", "BitString", "CodeTree"]
 
 
 def test_document_preserves_names_and_references():
@@ -345,6 +400,64 @@ def test_parse_tree_set_refusals():
         with pytest.raises(FormatError) as err:
             parse_tree_set(doc)
         assert str(err.value) == message
+
+
+def test_parse_tree_set_pins_the_first_bad_word_and_target():
+    good = {"mode": ["0", "1"], "codewords": ["00", "11"], "next": [0, 0]}
+
+    def doc(*trees):
+        return {"alphabet": 2, "trees": [dict(good, **t) for t in trees]}
+
+    cases = [
+        (doc({"codewords": [5, "1"]}),
+         "tree 0 codewords: expected a string of bits, got 5"),
+        (doc({"codewords": ["1", None]}),
+         "tree 0 codewords: expected a string of bits, got None"),
+        (doc({"codewords": ["0b1", "1"]}),
+         "tree 0 codewords: expected a string of bits, got '0b1'"),
+        (doc({"codewords": [" 1", "1"]}),
+         "tree 0 codewords: expected a string of bits, got ' 1'"),
+        (doc({"codewords": ["1_0", "1"]}),
+         "tree 0 codewords: expected a string of bits, got '1_0'"),
+        (doc({"codewords": ["0", "2"]}),
+         "tree 0 codewords: expected a string of bits, got '2'"),
+        # the first bad word in list order, whatever is wrong with it
+        (doc({"codewords": ["x", 5]}),
+         "tree 0 codewords: expected a string of bits, got 'x'"),
+        (doc({"codewords": [5, "x"]}),
+         "tree 0 codewords: expected a string of bits, got 5"),
+        # codewords before the mode, a tree's lists before the next tree
+        (doc({"codewords": ["0", "y"], "mode": ["z"]}),
+         "tree 0 codewords: expected a string of bits, got 'y'"),
+        (doc({"mode": ["z"]}, {"codewords": ["y", "1"]}),
+         "tree 0 mode: expected a string of bits, got 'z'"),
+        (doc({}, {"codewords": ["0", "0b1"]}),
+         "tree 1 codewords: expected a string of bits, got '0b1'"),
+        (doc({}, {"mode": ["", True]}),
+         "tree 1 mode: expected a string of bits, got True"),
+        # targets before words
+        (doc({"next": [0, 2], "codewords": ["x", "1"]}),
+         "tree 0: tree reference 2 out of range"),
+        (doc({"next": [True, 0]}), "tree 0: bad tree reference True"),
+        (doc({}, {"next": [0, False]}), "tree 1: bad tree reference False"),
+        (doc({"next": ["T0", 0]}), "tree 0: unknown tree name 'T0'"),
+        (doc({"next": [0, -1]}), "tree 0: tree reference -1 out of range"),
+        (doc({"next": [1.0, 0]}, {}),
+         "tree 0: tree reference 1.0 out of range"),
+        (doc({"next": [0, None]}),
+         "tree 0: tree reference None out of range"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_tree_set(bad)
+        assert str(err.value) == message
+    named = doc({"name": "A", "next": ["B", 0]}, {"name": "B",
+                                                  "next": [1, "A"]})
+    assert parse_tree_set(named).rows[0][0][3] == 1
+    named["trees"][1]["next"][0] = "C"
+    with pytest.raises(FormatError) as err:
+        parse_tree_set(named)
+    assert str(err.value) == "tree 1: unknown tree name 'C'"
 
 
 def test_parse_conventional_refusals():

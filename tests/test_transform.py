@@ -19,8 +19,9 @@ from aifv.transform import (VVCodeTable, _infer_modes, _normalize_vv,
                             import_aifvm, to_basic, vv_to_tree_set)
 from aifv import examples
 
-from conftest import (bits, import_oracle, infer_modes_oracle,
-                      long_codeword_doc, random_valid_tree_set, texts)
+from conftest import (bits, doc_oracle, import_oracle, imported_examples,
+                      infer_modes_oracle, long_codeword_doc,
+                      random_valid_tree_set, texts, to_basic_oracle)
 
 SEED = 20240815
 
@@ -51,6 +52,23 @@ def test_to_basic_pinned_conversion():
     assert encode(basic, [2, 0]).bits == bits("1100")
     assert validate(basic).ok
     assert equivalent_up_to_termination(ts, basic, max_len=4)
+
+
+def test_to_basic_matches_the_bit_string_oracle():
+    rng = random.Random(SEED + 5)
+    sets = [examples.binary_delay3_set(), examples.instantaneous_huffman_set(),
+            examples.ternary_full_set(), examples.skewed_delay3_set(),
+            *imported_examples(),
+            vv_to_tree_set(parse_vv_table(examples.tunstall_vv_doc()))]
+    sets += [random_valid_tree_set(rng) for _ in range(100)]
+    for ts in sets:
+        basic, want = to_basic(ts), to_basic_oracle(ts)
+        assert (basic.rows, basic.queries, basic.symbols, basic.tree_names) \
+            == (want.rows, want.queries, want.symbols, want.tree_names)
+        assert dumps_document(tree_set_to_doc(basic)) \
+            == dumps_document(doc_oracle(want))
+        # a basic set is its own basic form
+        assert to_basic(basic).rows == basic.rows
 
 
 def test_to_basic_keeps_already_basic_sets():
