@@ -58,8 +58,9 @@ extended to several symbols per lookup.
   most four symbols, four 2-bit ids fill one byte, so the encoder
   caches, per tree and byte, the block's bits as text and its end
   tree, and emits four symbols per lookup and one list append; one
-  join and one ``int(text, 2)`` per ``_SLICE_BLOCKS`` blocks turn the
-  texts into body bytes.  Wider alphabets keep the per-symbol walk.
+  join and one ``int(text, 2)`` per slice of at most ``_SLICE_BITS``
+  text characters turn the texts into body bytes.  Wider alphabets
+  keep the per-symbol walk.
 
 Both loops run on the set's integer rows (``CodeTreeSet.rows``), built
 with the set: (symbol, codeword length and value, successor,
@@ -89,9 +90,10 @@ from .errors import NoMatch, SymbolOutOfRange, Truncated
 # steps of the same size, so the integers both loops shift and mask
 # stay small; a decoder run holds at most this many symbols
 _CHUNK_BITS = 256
-# the encoder turns its block texts into bits this many blocks at a
-# time, so it holds at most one slice of the body as text
-_SLICE_BLOCKS = 512
+# the encoder turns its block texts into bits in slices of at most
+# this many characters (or one block), so it holds little of a long
+# body as text
+_SLICE_BITS = 1 << 18
 # the decoder peeks at this many stream bits and caches, per tree and
 # peek, the run of symbols they decide: at most K * 2**_RUN_BITS runs
 # for a set of K trees
@@ -208,12 +210,14 @@ def _encode_body(tree_set, symbols):
     into the byte ``key``, first id lowest, and ``blocks[k][key]`` holds
     the block's ``(text, end tree)`` from tree k, ``text`` being its
     bits as '0'/'1' characters, walked and stored on the first visit.
-    The loop appends each block's text to a list, ``_SLICE_BLOCKS``
-    blocks at a time; one ``"".join`` and one ``int(text, 2)`` per
-    slice, both linear in its length, shift the slice's bits into the
-    accumulator ``acc``, whose whole bytes go to ``out`` before the
-    next slice starts.  So at most one slice of the body is held as
-    text, one byte per bit, and a body of one slice is never spilled.
+    The loop appends each block's text to a list, one slice of blocks
+    at a time, sized from the set's longest expanded word so that its
+    texts hold at most ``_SLICE_BITS`` characters (or it is one block);
+    one ``"".join`` and one ``int(text, 2)`` per slice, both linear in
+    its length, shift the slice's bits into the accumulator ``acc``,
+    whose whole bytes go to ``out`` before the next slice starts.  So at
+    most one slice of the body is held as text, one byte per bit, and a
+    body of one slice is never spilled.
 
     The per-symbol walk then encodes the last ``len(data) % 4`` ids, or
     any other input alone, raising at the first id that is not an int
@@ -237,19 +241,22 @@ def _encode_body(tree_set, symbols):
             data = None
         # deleting the alphabet's ids leaves nothing
         if data is not None and not data.translate(None, bytes(range(m))):
-            blocks = _tables(tree_set)[2]
+            reach, _, blocks, _ = _tables(tree_set)
             full = len(data) & -4
             # byte 4j of x holds block j's first id, bytes 4j+1..4j+3 the
             # others: shifted by 6, 12 and 18 bits, each lands on its
             # 2-bit field of byte 4j, where every other field is zero
             x = int.from_bytes(data[:full], "little")
             keys = (x | x >> 6 | x >> 12 | x >> 18).to_bytes(full, "little")
-            for start in range(0, full, 4 * _SLICE_BLOCKS):
+            # a block's text has at most 4 * reach bits, so a slice of
+            # ``step`` keys has at most _SLICE_BITS, or is one block
+            step = max(4, _SLICE_BITS // (reach + 1) & -4)
+            for start in range(0, full, step):
                 if start:
                     acc, acc_len = _spill(out, acc, acc_len)
                 texts = []
                 put = texts.append
-                for key in keys[start:start + 4 * _SLICE_BLOCKS:4]:
+                for key in keys[start:start + step:4]:
                     block = blocks[k][key]
                     if block is None:
                         _, l0, v0, point, _ = rows[k][key & 3]

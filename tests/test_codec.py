@@ -777,13 +777,17 @@ def test_long_encode_memory_is_linear_in_body_bytes():
         f"peak {peak / 1e6:.1f} MB for a {body_bytes / 1e6:.1f} MB body"
 
 
-def test_encoder_slices_join_into_the_oracle_stream():
-    blocks = 4 * codec._SLICE_BLOCKS
+def test_encoder_slices_join_into_the_oracle_stream(monkeypatch):
+    # small slice budgets, so a few hundred symbols cross many slices;
+    # a budget below one block's text gives one block per slice
     rng = random.Random(SEED + 11)
-    for ts in (examples.skewed_delay3_set(), examples.binary_delay3_set(),
-               examples.ternary_full_set(),
-               # every block is empty, so every slice joins as no bits
-               CodeTreeSet([tree([""], [("", 0)])])):
-        for n in (blocks - 1, blocks, blocks + 1, 2 * blocks + 3):
-            msg = [rng.randrange(ts.symbol_count) for _ in range(n)]
-            assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)
+    for budget in (0, 60, 300):
+        monkeypatch.setattr(codec, "_SLICE_BITS", budget)
+        for ts in (examples.skewed_delay3_set(), examples.binary_delay3_set(),
+                   examples.ternary_full_set(),
+                   # every block is empty, so every slice joins as no bits
+                   CodeTreeSet([tree([""], [("", 0)])])):
+            step = max(4, budget // (codec._tables(ts)[0] + 1) & -4)
+            for n in (step - 1, step, step + 1, 2 * step + 3, 7 * step + 2):
+                msg = [rng.randrange(ts.symbol_count) for _ in range(n)]
+                assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)
