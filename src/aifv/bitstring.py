@@ -80,7 +80,8 @@ EMPTY = BitString(0, 0)
 
 def pair_text(length, value):
     """The '0'/'1' text of the word with this (length, value) pair."""
-    return format(value, f"0{length}b") if length else ""
+    # the top bit keeps the leading zeros; '' for no bits
+    return bin(value | 1 << length)[3:]
 
 
 def is_prefix(w1, w2):

@@ -250,7 +250,7 @@ def _encode_body(tree_set, symbols):
             keys = (x | x >> 6 | x >> 12 | x >> 18).to_bytes(full, "little")
             # a block's text has at most 4 * reach bits, so a slice of
             # ``step`` keys has at most _SLICE_BITS, or is one block
-            step = max(4, _SLICE_BITS // (reach + 1) & -4)
+            step = _SLICE_BITS // (reach + 1) & -4 or 4
             for start in range(0, full, step):
                 if start:
                     acc, acc_len = _spill(out, acc, acc_len)

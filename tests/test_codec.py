@@ -787,7 +787,7 @@ def test_encoder_slices_join_into_the_oracle_stream(monkeypatch):
                    examples.ternary_full_set(),
                    # every block is empty, so every slice joins as no bits
                    CodeTreeSet([tree([""], [("", 0)])])):
-            step = max(4, budget // (codec._tables(ts)[0] + 1) & -4)
+            step = budget // (codec._tables(ts)[0] + 1) & -4 or 4
             for n in (step - 1, step, step + 1, 2 * step + 3, 7 * step + 2):
                 msg = [rng.randrange(ts.symbol_count) for _ in range(n)]
                 assert encode(ts, msg).bits.text() == encode_oracle(ts, msg)
