@@ -11,13 +11,21 @@ your own, ``encode``/``decode`` to run them, and ``analysis`` for
 compression rates.  Everything else is imported from its own module:
 ``bitstring``, ``wordset``, ``codetree``, ``codec``, ``transform``,
 ``formats``, ``analysis`` and ``errors``.
+
+``import aifv`` loads only the modules behind the names it exports:
+``bitstring``, ``codec``, ``codetree`` and ``errors``, which are all
+that validating, encoding and decoding a set need.  The other modules
+(``analysis``, ``cli``, ``examples``, ``formats``, ``transform`` and
+``wordset``) load on first access, as ``aifv.formats`` or
+``from aifv import formats``, and are plain attributes after that.
 """
+
+import importlib
 
 from .bitstring import BitString
 from .codec import decode, encode
 from .codetree import CodeTree, CodeTreeSet, decoding_delay, validate
 from .errors import AifvError
-from . import analysis, examples, formats
 
 __version__ = "0.1.0"
 
@@ -26,3 +34,16 @@ __all__ = [
     "decode", "decoding_delay", "encode", "examples", "formats",
     "validate",
 ]
+
+# every submodule not imported above; each loads on first access
+_LAZY = ("analysis", "cli", "examples", "formats", "transform", "wordset")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

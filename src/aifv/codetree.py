@@ -52,7 +52,6 @@ from typing import NamedTuple
 from .bitstring import BitString, pair_text
 from .errors import (DimensionMismatch, IndexOutOfRange, InvalidSet,
                      Unvalidated)
-from .wordset import reduce_pairs
 
 VALIDATION_METHODS = ("direct", "interval")
 
@@ -392,6 +391,7 @@ def is_full(tree_set):
     with the tree's expanded words, read off the set's integer rows
     as ``validate`` reads them.
     """
+    from .wordset import reduce_pairs
     tree_set.ensure_valid()
     return tree_set.queries[0] == ((0, 0),) and all(
         reduce_pairs(members) == reduce_pairs(

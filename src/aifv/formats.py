@@ -37,7 +37,6 @@ import struct
 from .bitstring import BitString, pair_text
 from .codetree import CodeTreeSet
 from .errors import AifvError, FormatError
-from .transform import VVCodeTable
 
 MAGIC = b"AIFV"
 VERSION = 1
@@ -314,6 +313,7 @@ def parse_vv_table(doc):
         else:
             raise FormatError(f"block {key!r} must be a codeword or an "
                               f"object")
+    from .transform import VVCodeTable
     try:
         return VVCodeTable(depth, symbols, lcwords, follows, blocks,
                            recurrences)

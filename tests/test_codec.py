@@ -777,6 +777,47 @@ def test_long_encode_memory_is_linear_in_body_bytes():
         f"peak {peak / 1e6:.1f} MB for a {body_bytes / 1e6:.1f} MB body"
 
 
+# a decode holds the packed stream and its window, about two bytes per
+# input byte, and one byte of ids plus one pointer of the result tuple
+# per symbol
+DECODE_BYTES_PER_INPUT_BYTE = 2.5
+DECODE_BYTES_PER_SYMBOL = 10
+DECODE_SLACK_BYTES = 1 << 16
+
+
+@pytest.mark.parametrize("name, counts", [
+    # 1000-bit codewords: the input's bytes dominate (measured 2.05
+    # bytes per input byte at both sizes)
+    ("long", (5_000, 20_000)),
+    # the skewed set, under a bit per symbol: the symbols dominate
+    # (measured 8.5 bytes per symbol at both sizes)
+    ("skewed", (250_000, 1_000_000)),
+], ids=["long-codewords", "skewed"])
+def test_decode_memory_is_linear_in_input_and_symbols(name, counts):
+    if name == "long":
+        ts = CodeTreeSet([tree([""], [("0" * 1000, 0), ("1" * 1000, 0)])])
+        weights = None
+    else:
+        ts = examples.skewed_delay3_set()
+        weights = examples.skewed_distribution()
+    rng = random.Random(SEED + 13)
+    for count in counts:
+        msg = rng.choices(range(ts.symbol_count), weights, k=count)
+        stream = encode(ts, msg).bits
+        decode(ts, stream, 4)
+        tracemalloc.start()
+        try:
+            trace = decode(ts, stream, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(trace.symbols) == msg
+        input_bytes = (stream.length + 7) // 8
+        limit = (DECODE_BYTES_PER_INPUT_BYTE * input_bytes
+                 + DECODE_BYTES_PER_SYMBOL * count + DECODE_SLACK_BYTES)
+        assert peak <= limit, (count, input_bytes, peak)
+
+
 def test_encoder_slices_join_into_the_oracle_stream(monkeypatch):
     # small slice budgets, so a few hundred symbols cross many slices;
     # a budget below one block's text gives one block per slice
